@@ -19,6 +19,35 @@
 //! * discovered devices can be paged during the master's service phase
 //!   and then exchange data until range loss trips the supervision
 //!   timeout.
+//!
+//! # Event economy
+//!
+//! Most slot pairs are silent, so the medium avoids events that would
+//! only confirm it:
+//!
+//! * **Scan windows are lazy.** A window boundary is not a calendar
+//!   event. Each slave advances its own [`WindowSchedule`] in time order
+//!   whenever the medium reads or mutates that slave (an ID it might
+//!   hear, a backoff ending, a page ID), applying the boundaries it
+//!   slept through. A window that opens exactly at an `InqTx` instant
+//!   counts as open for that transmission only if the naive chain would
+//!   have armed the window first (`tie_deaf`); for every
+//!   other reader it counts as open.
+//! * **Inquiry chains skip ahead.** With [`MediumConfig::skip_ahead`]
+//!   each inquiring master schedules its next `InqTx` only at the
+//!   earliest slot pair some in-range scanning slave could hear, and
+//!   accounts the silent pairs in between in closed form. The naive
+//!   chain, one `InqTx` per slot pair, stays as the test oracle.
+//! * **Predictions are cached.** Each (master, slave) answer of the
+//!   audibility solver is kept until the slave's `version` changes (a
+//!   heard ID, a stop, a re-armed chain, an activity toggle, a link up
+//!   or down) or the master enters a new phase. Re-aiming a chain
+//!   re-solves only stale entries, and a transmission skips every slave
+//!   whose valid prediction lies after the pair.
+//!
+//! Backoff ends stay calendar events: they are rare, and their order
+//! against same-instant transmissions of other masters is what the
+//! naive chain defines.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -104,16 +133,9 @@ enum Ev {
     },
     /// Master duty-cycle boundary.
     PhaseBoundary { master: usize, epoch: u32 },
-    /// Slave regular scan-window open (index = which window).
-    WindowOpen {
-        slave: usize,
-        epoch: u32,
-        index: u64,
-    },
-    /// Slave scan-window close.
-    WindowClose { slave: usize, epoch: u32 },
-    /// Slave response backoff finished.
-    BackoffEnd { slave: usize, epoch: u32 },
+    /// Slave response backoff finished; stale once the slave's
+    /// `version` moves on.
+    BackoffEnd { slave: usize, version: u32 },
     /// All FHS responses aimed at `master` for the instant keyed `key`.
     FhsRx { master: usize, key: u64 },
     /// An in-flight page attempt reaches a decision instant (analytic
@@ -325,9 +347,31 @@ struct MasterDev {
     paging: Option<(PageAttempt, u32)>,
     page_attempt_seq: u32,
     page_queue: VecDeque<SlaveId>,
+    /// When the current inquiry phase was entered — the instant the
+    /// naive chain scheduled its first `InqTx` (same-instant ordering
+    /// proxy).
+    entered_at: SimTime,
+    /// The current inquiry phase's first slot pair; later pairs were
+    /// naively scheduled one `SLOT_PAIR` before they fire.
+    first_pair: SimTime,
     /// Skip-ahead bookkeeping; `Some` exactly while the master is inside
     /// an inquiry phase with the skip-ahead scheduler enabled.
     skip: Option<SkipChain>,
+    /// Cached audibility predictions, indexed by slave.
+    predictions: Vec<Prediction>,
+}
+
+/// One cached [`Baseband::slave_next_audible`] answer: the earliest slot
+/// pair, solved up to the phase boundary, at which the slave could hear
+/// this master. Valid while the slave's `version` and the master's phase
+/// `epoch` both match; every pair before `at` (from the pair the solve
+/// started at) is proven deaf for the slave. Epoch 0 precedes every
+/// phase, so a default entry is never valid.
+#[derive(Clone, Copy, Default)]
+struct Prediction {
+    version: u32,
+    epoch: u32,
+    at: SimTime,
 }
 
 /// Lazy accounting for a master's inquiry chain under skip-ahead.
@@ -345,12 +389,6 @@ struct SkipChain {
     /// no in-range scanning slave can hear this phase at all (the chain
     /// is dormant until a wake-up transition).
     event: Option<EventId>,
-    /// When the phase was entered — the instant the naive chain would
-    /// have scheduled its first `InqTx` (same-instant ordering proxy).
-    entered_at: SimTime,
-    /// The phase's first slot pair; later pairs were naively scheduled
-    /// one `SLOT_PAIR` before they fire.
-    first_pair: SimTime,
     /// Instant the pending `event` fires at (`MAX` while dormant). A
     /// re-aim that lands on the same instant keeps the existing event:
     /// rescheduling would assign a fresh queue sequence number and could
@@ -365,27 +403,30 @@ struct SlaveDev {
     windows: WindowSchedule,
     machine: ScanMachine,
     freq_rot: u8,
-    epoch: u32,
+    /// Bumped whenever the slave's listening changes other than by its
+    /// own window schedule: a heard ID, a stop, a re-armed chain, an
+    /// activity toggle, a link up or down. Invalidates cached
+    /// predictions and pending `BackoffEnd` events.
+    version: u32,
     active: bool,
     halt_when_discovered: bool,
     connected_to: Option<MasterId>,
-    /// Whether a live scan-window chain is armed. The skip-ahead
-    /// predictor must treat a slave whose chain died (halted after
-    /// discovery, connected, deactivated) as deaf forever — its
-    /// [`WindowSchedule`] keeps ticking on paper, but no event will ever
-    /// reopen a window until a control transition re-arms the chain.
+    /// Whether the window chain is live. A slave whose chain died
+    /// (halted after discovery, connected, deactivated) is deaf until a
+    /// control transition re-arms it; its [`WindowSchedule`] keeps
+    /// ticking on paper only.
     scanning: bool,
-    /// When the pending `WindowOpen` was scheduled — the skip-ahead
-    /// scheduler compares this against the instant the naive chain would
-    /// have scheduled a same-instant `InqTx` to reproduce the naive
-    /// processing order exactly.
+    /// The first window of the live chain the machine has not seen yet.
+    next_window_index: u64,
+    /// Start of the chain's first window. Re-armed chains skip the
+    /// partial window they were armed in.
+    first_window_start: SimTime,
+    /// When the chain was armed — the instant the naive model scheduled
+    /// its first window open. Every later window was armed one scan
+    /// interval before it opens, when its predecessor opened.
     window_armed_at: SimTime,
-    /// Start of the window that pending `WindowOpen` will open. A
-    /// sleeping machine is deaf before this even if the schedule shows
-    /// an earlier window on paper (re-armed chains skip partial windows).
-    next_window_start: SimTime,
-    /// When the pending `BackoffEnd` was scheduled (ordering proxy, as
-    /// for `window_armed_at`).
+    /// When the pending `BackoffEnd` was scheduled (same-instant
+    /// ordering proxy, compared against the naive `InqTx` arm instant).
     backoff_armed_at: SimTime,
 }
 
@@ -395,6 +436,46 @@ impl SlaveDev {
     fn scan_freq(&self, now: SimTime) -> InquiryFreq {
         let steps = now.elapsed().div_duration(crate::clock::CLKN_12_PERIOD);
         InquiryFreq::new(((self.freq_rot as u64 + steps) % NUM_INQUIRY_FREQS as u64) as u8)
+    }
+
+    /// Applies every window boundary at or before `now` the machine has
+    /// not seen yet, with the effect per-window open and close events
+    /// would have had.
+    ///
+    /// Only the latest due window matters: each earlier one opened and
+    /// closed before it, and a backoff that ignored an earlier open
+    /// ignores the later one too unless it ended by then — in which case
+    /// its `BackoffEnd` already advanced the slave to that instant.
+    fn advance_windows(&mut self, now: SimTime) {
+        if !self.scanning {
+            return;
+        }
+        if self.windows.window_start(self.next_window_index) <= now {
+            let mut due = self.windows.first_window_at_or_after(now);
+            if self.windows.window_start(due) == now {
+                due += 1;
+            }
+            let open = self.windows.window_start(due - 1);
+            let close = open + self.windows.pattern().window();
+            self.machine
+                .open_window(open, self.windows.window_kind(due - 1), close);
+            self.next_window_index = due;
+        }
+        // A close at `now` precedes every reader at `now`: the naive
+        // close event was armed a whole window earlier.
+        self.machine.close_window(now);
+    }
+
+    /// Starts a listening change the scan schedule did not plan.
+    fn bump(&mut self) {
+        self.version = self.version.wrapping_add(1);
+    }
+
+    /// Kills the window chain: the slave stops scanning until re-armed.
+    fn stop_scanning(&mut self) {
+        self.bump();
+        self.machine.stop();
+        self.scanning = false;
     }
 }
 
@@ -589,7 +670,10 @@ impl Baseband {
             paging: None,
             page_attempt_seq: 0,
             page_queue: VecDeque::new(),
+            entered_at: SimTime::ZERO,
+            first_pair: SimTime::ZERO,
             skip: None,
+            predictions: Vec::new(),
         });
         MasterId(id)
     }
@@ -619,13 +703,14 @@ impl Baseband {
             windows,
             machine: ScanMachine::new(cfg.scan_pattern(), cfg.backoff_bound()),
             freq_rot: start.index(),
-            epoch: 0,
+            version: 0,
             active: true,
             halt_when_discovered: cfg.halts_when_discovered(),
             connected_to: None,
             scanning: false,
+            next_window_index: 0,
+            first_window_start: SimTime::MAX,
             window_armed_at: SimTime::ZERO,
-            next_window_start: SimTime::MAX,
             backoff_armed_at: SimTime::ZERO,
         });
         SlaveId(id)
@@ -745,9 +830,7 @@ impl Baseband {
             }
             let dev = &mut self.slaves[slave.0];
             dev.active = false;
-            dev.epoch += 1;
-            dev.machine.stop();
-            dev.scanning = false;
+            dev.stop_scanning();
         }
     }
 
@@ -897,23 +980,18 @@ impl Baseband {
             return;
         }
         self.started = true;
-        // Arm the scan-chain bookkeeping before the masters enter their
-        // phases (the skip-ahead predictor reads it), but schedule the
-        // actual WindowOpen events *after* — the naive order puts every
-        // first InqTx ahead of every WindowOpen, which decides who wins
-        // when a window opens exactly on a transmitted slot pair.
+        // Chains armed here count as armed at the masters' phase entry,
+        // not before it: a first window opening exactly on a first slot
+        // pair stays shut for that pair (see `tie_deaf`).
         for sl in 0..self.slaves.len() {
             if self.slaves[sl].active {
                 self.arm_scan_chain(s.now(), sl);
             }
         }
+        let n = self.slaves.len();
         for m in 0..self.masters.len() {
+            self.masters[m].predictions = vec![Prediction::default(); n];
             self.enter_phase(s, m);
-        }
-        for sl in 0..self.slaves.len() {
-            if self.slaves[sl].active {
-                self.schedule_first_window(s, sl);
-            }
         }
     }
 
@@ -932,18 +1010,7 @@ impl Baseband {
                     self.enter_phase(s, master);
                 }
             }
-            Ev::WindowOpen {
-                slave,
-                epoch,
-                index,
-            } => self.on_window_open(s, slave, epoch, index),
-            Ev::WindowClose { slave, epoch } => {
-                let dev = &mut self.slaves[slave];
-                if dev.epoch == epoch {
-                    dev.machine.close_window(s.now());
-                }
-            }
-            Ev::BackoffEnd { slave, epoch } => self.on_backoff_end(s, slave, epoch),
+            Ev::BackoffEnd { slave, version } => self.on_backoff_end(s, slave, version),
             Ev::FhsRx { master, key } => self.on_fhs_rx(s, master, key),
             Ev::PageResolve {
                 master,
@@ -1021,41 +1088,33 @@ impl Baseband {
                     StartTrain::Fixed(t) => t,
                     StartTrain::Random => train_from_clock(&self.masters[m].clock, now),
                 };
-                self.masters[m].start_train = train;
-                self.masters[m].inq.restart(train);
-                let first_tx = self.masters[m].clock.next_even_slot(now);
+                let dev = &mut self.masters[m];
+                dev.start_train = train;
+                dev.inq.restart(train);
+                let first_tx = dev.clock.next_even_slot(now);
+                dev.entered_at = now;
+                dev.first_pair = first_tx;
+                // Under skip-ahead too, the first pair is scheduled
+                // eagerly, from the same handler position as the naive
+                // chain, so it carries the naive sequence number and wins
+                // or loses same-instant ties identically (wakes between
+                // now and `first_tx` re-aim to the same instant and must
+                // not replace this event). The solver takes over once it
+                // fires.
+                let id = s.schedule(
+                    first_tx,
+                    BbEvent(Ev::InqTx {
+                        master: m,
+                        epoch,
+                        deferred: false,
+                    }),
+                );
                 if self.cfg.skip_ahead {
-                    // The first pair is scheduled eagerly, from the same
-                    // handler position as the naive chain, so it carries
-                    // the naive sequence number and wins or loses
-                    // same-instant ties identically (wakes between now
-                    // and `first_tx` re-aim to the same instant and must
-                    // not replace this event). The solver takes over
-                    // once it fires.
-                    let id = s.schedule(
-                        first_tx,
-                        BbEvent(Ev::InqTx {
-                            master: m,
-                            epoch,
-                            deferred: false,
-                        }),
-                    );
                     self.masters[m].skip = Some(SkipChain {
                         from: first_tx,
                         event: Some(id),
-                        entered_at: now,
-                        first_pair: first_tx,
                         aimed_at: first_tx,
                     });
-                } else {
-                    s.schedule(
-                        first_tx,
-                        BbEvent(Ev::InqTx {
-                            master: m,
-                            epoch,
-                            deferred: false,
-                        }),
-                    );
                 }
             }
             Phase::Service => {
@@ -1131,12 +1190,35 @@ impl Baseband {
     /// `InqTx` for pair `now`: during the previous pair, or at phase
     /// entry for the phase's first pair.
     fn naive_arm_instant(&self, m: usize, now: SimTime) -> SimTime {
-        let chain = self.masters[m].skip.as_ref().expect("chain present");
-        if now == chain.first_pair {
-            chain.entered_at
+        let dev = &self.masters[m];
+        if now == dev.first_pair {
+            dev.entered_at
         } else {
             now - SLOT_PAIR
         }
+    }
+
+    /// Whether slave `sl` is deaf to master `m`'s pair at `now` because
+    /// its chain's first window opens at `now` but was armed no earlier
+    /// than the naive chain armed this `InqTx`: the naive `InqTx` ran
+    /// first and found the slave asleep, as every fresh chain is before
+    /// its first window. Later windows were armed a scan interval ahead,
+    /// before any naive arm instant, so they count as open.
+    fn tie_deaf(&self, m: usize, sl: usize, now: SimTime) -> bool {
+        let dev = &self.slaves[sl];
+        dev.first_window_start == now && dev.window_armed_at >= self.naive_arm_instant(m, now)
+    }
+
+    /// Master `m`'s cached prediction for slave `sl`, if still valid.
+    fn cached_prediction(&self, m: usize, sl: usize) -> Option<SimTime> {
+        let p = self.masters[m].predictions[sl];
+        (p.epoch == self.masters[m].epoch && p.version == self.slaves[sl].version).then_some(p.at)
+    }
+
+    /// Whether master `m`'s valid cached prediction proves slave `sl`
+    /// deaf to the whole pair at `now`.
+    fn predicted_deaf(&self, m: usize, sl: usize, now: SimTime) -> bool {
+        self.cached_prediction(m, sl).is_some_and(|at| at > now)
     }
 
     /// Whether the skip-ahead `InqTx` firing at `now` must requeue itself
@@ -1145,15 +1227,16 @@ impl Baseband {
     ///
     /// The naive chain scheduled the `InqTx` for pair `now` while
     /// processing the previous pair (or at phase entry, for the first
-    /// pair), so a `WindowOpen` or `BackoffEnd` landing at the same
-    /// instant runs *first* exactly when it was armed before that — and
-    /// whichever runs first decides whether the slave hears this pair.
-    /// The skip-ahead event was scheduled at an arbitrary earlier re-aim,
-    /// so when such a tie exists it defers once; the requeued copy runs
-    /// after every event already queued at `now`. A requeued copy
-    /// (`deferred`) skips these one-shot checks but still yields to
-    /// naive-earlier sibling masters sharing the instant, so coincident
-    /// chains fire in naive precedence order (see below).
+    /// pair), so a `BackoffEnd` landing at the same instant runs *first*
+    /// exactly when it was armed before that — and whichever runs first
+    /// decides whether the slave hears this pair. The skip-ahead event
+    /// was scheduled at an arbitrary earlier re-aim, so when such a tie
+    /// exists it defers once; the requeued copy runs after every event
+    /// already queued at `now`. A requeued copy (`deferred`) skips these
+    /// one-shot checks but still yields to naive-earlier sibling masters
+    /// sharing the instant, so coincident chains fire in naive
+    /// precedence order (see below). Window boundaries need no deferral:
+    /// they are applied lazily under the naive order (see `tie_deaf`).
     fn should_defer(&self, m: usize, now: SimTime, deferred: bool) -> bool {
         if self.masters[m].skip.is_none() {
             return false;
@@ -1167,11 +1250,7 @@ impl Baseband {
         // terminates.
         let key = (
             self.naive_arm_instant(m, now),
-            self.masters[m]
-                .skip
-                .as_ref()
-                .expect("chain present")
-                .entered_at,
+            self.masters[m].entered_at,
             m,
         );
         for other in 0..self.masters.len() {
@@ -1184,7 +1263,8 @@ impl Baseband {
             if chain.event.is_none() || chain.aimed_at != now {
                 continue;
             }
-            if (self.naive_arm_instant(other, now), chain.entered_at, other) < key {
+            let entered = self.masters[other].entered_at;
+            if (self.naive_arm_instant(other, now), entered, other) < key {
                 return true;
             }
         }
@@ -1198,11 +1278,12 @@ impl Baseband {
                 let sl = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let dev = &self.slaves[sl];
-                if !dev.active || dev.connected_to.is_some() || !dev.scanning {
+                if !dev.active
+                    || dev.connected_to.is_some()
+                    || !dev.scanning
+                    || self.predicted_deaf(m, sl, now)
+                {
                     continue;
-                }
-                if dev.next_window_start == now && dev.window_armed_at < naive_sched {
-                    return true;
                 }
                 if matches!(dev.machine.phase(), ScanPhase::Backoff { until } if until == now)
                     && dev.backoff_armed_at < naive_sched
@@ -1241,6 +1322,8 @@ impl Baseband {
     /// slot pair any in-range, active, unconnected, scanning slave could
     /// hear and schedules the next `InqTx` there — or leaves the chain
     /// dormant when no such pair exists before the phase boundary.
+    /// Valid cached predictions are reused; stale ones are re-solved up
+    /// to the phase boundary and cached.
     ///
     /// Requires `skip` to be `Some` with `from` settled past `now`.
     fn rearm_inquiry<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, m: usize) {
@@ -1250,6 +1333,7 @@ impl Baseband {
         let from = chain.from;
         let armed = chain.event.is_some();
         let aimed_at = chain.aimed_at;
+        let epoch = self.masters[m].epoch;
         let bound = self.masters[m]
             .plan
             .next_boundary(s.now())
@@ -1264,7 +1348,19 @@ impl Baseband {
                 if !dev.active || dev.connected_to.is_some() || !dev.scanning {
                     continue;
                 }
-                target = target.min(self.slave_next_audible(m, sl, from, target));
+                let at = match self.cached_prediction(m, sl).filter(|&at| at >= from) {
+                    Some(at) => at,
+                    None => {
+                        let at = self.slave_next_audible(m, sl, from, bound);
+                        self.masters[m].predictions[sl] = Prediction {
+                            version: dev.version,
+                            epoch,
+                            at,
+                        };
+                        at
+                    }
+                };
+                target = target.min(at);
             }
         }
         if armed && target >= aimed_at {
@@ -1277,7 +1373,6 @@ impl Baseband {
             // reorder the InqTx behind events queued in between.
             return;
         }
-        let epoch = self.masters[m].epoch;
         let chain = self.masters[m].skip.as_mut().expect("chain present");
         if let Some(ev) = chain.event.take() {
             s.cancel(ev);
@@ -1355,9 +1450,11 @@ impl Baseband {
             // Deaf spans with a known end (sleep between windows, backoff)
             // are jumped in one step: resume at the first pair whose
             // second half-slot reaches the receptive instant.
-            let r = dev
-                .machine
-                .next_receptive_after(t, &dev.windows, dev.next_window_start);
+            let r = dev.machine.next_receptive_after(
+                t,
+                &dev.windows,
+                dev.windows.window_start(dev.next_window_index),
+            );
             if r == SimTime::MAX {
                 return bound;
             }
@@ -1413,7 +1510,8 @@ impl Baseband {
         t.min(bound)
     }
 
-    /// Delivers one ID packet to every slave that can hear it.
+    /// Delivers one ID packet of the pair transmitted at `now` (the first
+    /// or second half-slot, `at`) to every slave that can hear it.
     fn transmit_id<S: SubScheduler<BbEvent>>(
         &mut self,
         s: &mut S,
@@ -1421,6 +1519,7 @@ impl Baseband {
         freq: InquiryFreq,
         at: SimTime,
     ) {
+        let now = s.now();
         // Walk only the slaves in this master's coverage bitset, ascending
         // (same probe order — and therefore RNG draw order — as a linear
         // scan over all slaves).
@@ -1430,9 +1529,18 @@ impl Baseband {
                 let sl = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let dev = &self.slaves[sl];
-                if !dev.active || dev.connected_to.is_some() {
+                if !dev.active
+                    || dev.connected_to.is_some()
+                    || self.predicted_deaf(m, sl, now)
+                    || self.tie_deaf(m, sl, now)
+                {
                     continue;
                 }
+                // Both half-slots see the state as of `now`: boundaries
+                // inside the pair fire after this handler in the naive
+                // model.
+                let dev = &mut self.slaves[sl];
+                dev.advance_windows(now);
                 if !dev.machine.hears_inquiry(at) || dev.scan_freq(at) != freq {
                     continue;
                 }
@@ -1444,14 +1552,15 @@ impl Baseband {
                 self.stats.ids_heard += 1;
                 let action = {
                     let dev = &mut self.slaves[sl];
+                    dev.bump();
                     dev.machine.hear_id(at, s.rng())
                 };
-                let epoch = self.slaves[sl].epoch;
+                let version = self.slaves[sl].version;
                 match action {
                     ScanAction::StartBackoff(until) => {
                         self.stats.backoffs += 1;
-                        self.slaves[sl].backoff_armed_at = s.now();
-                        s.schedule(until, BbEvent(Ev::BackoffEnd { slave: sl, epoch }));
+                        self.slaves[sl].backoff_armed_at = now;
+                        s.schedule(until, BbEvent(Ev::BackoffEnd { slave: sl, version }));
                         self.wake_other_masters(s, m, sl);
                     }
                     ScanAction::Respond {
@@ -1463,8 +1572,11 @@ impl Baseband {
                         if self.fhs_buckets.push((m, key), sl) {
                             s.schedule(tx, BbEvent(Ev::FhsRx { master: m, key }));
                         }
-                        self.slaves[sl].backoff_armed_at = s.now();
-                        s.schedule(backoff_until, BbEvent(Ev::BackoffEnd { slave: sl, epoch }));
+                        self.slaves[sl].backoff_armed_at = now;
+                        s.schedule(
+                            backoff_until,
+                            BbEvent(Ev::BackoffEnd { slave: sl, version }),
+                        );
                         self.wake_other_masters(s, m, sl);
                     }
                     ScanAction::None => {}
@@ -1518,10 +1630,7 @@ impl Baseband {
             if self.slaves[sl].halt_when_discovered {
                 // The handheld proceeds to page scan / enrollment and
                 // stops answering inquiries.
-                let dev = &mut self.slaves[sl];
-                dev.epoch += 1;
-                dev.machine.stop();
-                dev.scanning = false;
+                self.slaves[sl].stop_scanning();
             }
         }
         self.fhs_buckets.recycle(responders);
@@ -1606,6 +1715,7 @@ impl Baseband {
         let reachable = self.in_range.contains(m, sl)
             && self.slaves[sl].active
             && self.slaves[sl].connected_to.is_none();
+        self.slaves[sl].advance_windows(now);
         if reachable && self.slaves[sl].machine.hears_page(now) {
             // Channel errors apply to the page exchange as a whole.
             if self.cfg.packet_success >= 1.0 || s.rng().chance(self.cfg.packet_success) {
@@ -1700,9 +1810,7 @@ impl Baseband {
                 .insert((m, sl), Link::new(MasterId(m), SlaveId(sl), now));
             let dev = &mut self.slaves[sl];
             dev.connected_to = Some(MasterId(m));
-            dev.epoch += 1; // kill pending scan events
-            dev.machine.stop();
-            dev.scanning = false;
+            dev.stop_scanning();
             self.notifications.push(BbNotification::LinkEstablished {
                 master: MasterId(m),
                 slave: SlaveId(sl),
@@ -1744,69 +1852,28 @@ impl Baseband {
 
     // ----- slave machinery --------------------------------------------
 
-    /// Arms a (re)starting scan chain's bookkeeping: resolves the first
-    /// window at or after `now` and records it for the skip-ahead
-    /// predictor. The matching `WindowOpen` is scheduled separately by
-    /// [`schedule_first_window`] so callers can control event order.
+    /// Arms a (re)starting scan chain at `now`: the first window at or
+    /// after `now` is the chain's first, and the machine sees every
+    /// window from there on as the slave is read.
     fn arm_scan_chain(&mut self, now: SimTime, sl: usize) {
         let dev = &mut self.slaves[sl];
         let idx = dev.windows.first_window_at_or_after(now);
+        dev.bump();
         dev.scanning = true;
+        dev.next_window_index = idx;
+        dev.first_window_start = dev.windows.window_start(idx);
         dev.window_armed_at = now;
-        dev.next_window_start = dev.windows.window_start(idx);
     }
 
-    /// Schedules the `WindowOpen` for the chain most recently armed by
-    /// [`arm_scan_chain`].
-    fn schedule_first_window<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, sl: usize) {
-        let dev = &self.slaves[sl];
-        let idx = dev.windows.first_window_at_or_after(s.now());
-        let epoch = dev.epoch;
-        s.schedule(
-            dev.next_window_start,
-            BbEvent(Ev::WindowOpen {
-                slave: sl,
-                epoch,
-                index: idx,
-            }),
-        );
-    }
-
-    fn on_window_open<S: SubScheduler<BbEvent>>(
-        &mut self,
-        s: &mut S,
-        sl: usize,
-        epoch: u32,
-        index: u64,
-    ) {
+    fn on_backoff_end<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, sl: usize, version: u32) {
         let now = s.now();
         let dev = &mut self.slaves[sl];
-        if dev.epoch != epoch || !dev.active || dev.connected_to.is_some() {
+        if dev.version != version {
             return;
         }
-        let kind = dev.windows.window_kind(index);
-        let close = now + dev.windows.pattern().window();
-        dev.machine.open_window(now, kind, close);
-        s.schedule(close, BbEvent(Ev::WindowClose { slave: sl, epoch }));
-        let next_at = dev.windows.window_start(index + 1);
-        dev.window_armed_at = now;
-        dev.next_window_start = next_at;
-        s.schedule(
-            next_at,
-            BbEvent(Ev::WindowOpen {
-                slave: sl,
-                epoch,
-                index: index + 1,
-            }),
-        );
-    }
-
-    fn on_backoff_end<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, sl: usize, epoch: u32) {
-        let now = s.now();
-        let dev = &mut self.slaves[sl];
-        if dev.epoch != epoch || !dev.active || dev.connected_to.is_some() {
-            return;
-        }
+        // Windows that opened during the backoff were ignored; consume
+        // them before the listen begins.
+        dev.advance_windows(now);
         // Post-backoff listen: the slave awaits the next inquiry message
         // (spec: it returns to the inquiry scan substate). The listen is
         // open-ended; the next *regular* window boundary re-asserts the
@@ -1818,20 +1885,13 @@ impl Baseband {
     fn restart_slave_scanning<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, sl: usize) {
         let dev = &mut self.slaves[sl];
         dev.connected_to = None;
-        dev.epoch += 1;
-        dev.machine.stop();
-        dev.scanning = false;
+        dev.stop_scanning();
         if dev.active && self.started {
-            // Re-aim every inquiring master *between* arming the chain
-            // bookkeeping and scheduling the WindowOpen: audibility just
-            // increased, and a chain InqTx landing exactly on the first
-            // window's open instant must keep the naive order (InqTx
-            // first, window still shut).
+            // Audibility just increased: re-aim every inquiring master.
             self.arm_scan_chain(s.now(), sl);
             for m in 0..self.masters.len() {
                 self.wake_master(s, m);
             }
-            self.schedule_first_window(s, sl);
         }
     }
 
@@ -2487,5 +2547,99 @@ mod range_flap_tests {
         e.run_until(SimTime::from_secs(40));
         assert_eq!(e.world().bb.slave_connection(s), Some(m));
         assert_eq!(e.world().bb.stats().links_lost, 0);
+    }
+}
+
+#[cfg(test)]
+mod window_tie_tests {
+    use super::*;
+    use crate::params::{DutyCycle, ScanPattern, TrainPolicy};
+    use desim::{Context, Engine, World};
+
+    struct TestWorld {
+        bb: Baseband,
+    }
+
+    impl World for TestWorld {
+        type Event = BbEvent;
+        fn handle(&mut self, ctx: &mut Context<BbEvent>, ev: BbEvent) {
+            self.bb.handle(ctx, ev);
+        }
+        fn quiesce(&mut self, ctx: &mut Context<BbEvent>) {
+            self.bb.settle(ctx.now());
+        }
+    }
+
+    /// Pair index of the window start `T` on the master's grid.
+    const T_PAIRS: u64 = 80;
+
+    fn at_t() -> SimTime {
+        SimTime::ZERO + SLOT_PAIR * T_PAIRS
+    }
+
+    /// One always-inquiring master whose slot grid starts at t = 0 and
+    /// one spec-pattern slave whose first window opens at `T`, exactly on
+    /// a slot pair, listening on the frequency that pair's first ID
+    /// carries. With `activate_at`, the slave starts switched off and its
+    /// chain is armed at that instant instead of at start.
+    fn engine(skip_ahead: bool, activate_at: Option<SimTime>) -> Engine<TestWorld> {
+        let mut bb = Baseband::new(MediumConfig {
+            skip_ahead,
+            ..MediumConfig::default()
+        });
+        let mut rng = desim::SeedDeriver::new(3).rng(0);
+        let m = bb.add_master(
+            MasterConfig::new(BdAddr::new(1))
+                .duty(DutyCycle::always_inquiry())
+                .trains(TrainPolicy::Single)
+                .start_train(StartTrain::Fixed(Train::A)),
+            &mut rng,
+        );
+        let sl = bb.add_slave(
+            SlaveConfig::new(BdAddr::new(2)).scan(ScanPattern::spec_inquiry()),
+            &mut rng,
+        );
+        bb.masters[m.0].clock = NativeClock::with_phase_ticks(0);
+        let mut walker = InquiryState::new(Train::A, TrainPolicy::Single);
+        walker.advance_by(T_PAIRS);
+        let dev = &mut bb.slaves[sl.0];
+        dev.windows = WindowSchedule::new(ScanPattern::spec_inquiry(), at_t(), 0);
+        dev.freq_rot = walker.plan().first.index();
+        dev.active = activate_at.is_none();
+        bb.in_range.insert(m.0, sl.0);
+        let mut e = Engine::new(TestWorld { bb }, 3);
+        e.schedule(SimTime::ZERO, BbEvent::start());
+        if let Some(at) = activate_at {
+            e.schedule(at, BbEvent::set_slave_active(sl, true));
+        }
+        e
+    }
+
+    /// IDs the slave heard by the end of the pair at `T`, in both modes.
+    fn heard_at_t(activate_at: Option<SimTime>) -> u64 {
+        let heard = [false, true].map(|skip_ahead| {
+            let mut e = engine(skip_ahead, activate_at);
+            e.run_until(at_t() + SLOT_PAIR / 2);
+            assert_eq!(e.world().bb.stats().ids_transmitted, 2 * (T_PAIRS + 1));
+            e.world().bb.stats().ids_heard
+        });
+        assert_eq!(heard[0], heard[1], "naive and skip-ahead disagree");
+        heard[0]
+    }
+
+    #[test]
+    fn window_armed_before_the_naive_inq_tx_is_open_for_it() {
+        // Armed at start, long before the pair's naive arm instant.
+        assert_eq!(heard_at_t(None), 1);
+        // Re-armed 2 ms before `T`, still before the naive arm instant
+        // (`T` − 1.25 ms).
+        assert_eq!(heard_at_t(Some(at_t() - SimDuration::from_millis(2))), 1);
+    }
+
+    #[test]
+    fn window_armed_after_the_naive_inq_tx_stays_shut_for_it() {
+        // Re-armed 0.5 ms before `T`: the naive `InqTx` for `T` was
+        // already queued and runs first, finding the slave asleep.
+        assert_eq!(heard_at_t(Some(at_t() - SimDuration::from_micros(500))), 0);
     }
 }

@@ -233,10 +233,12 @@ impl ScanMachine {
     /// still armed; a stopped machine whose schedule will never reopen
     /// (halted or connected slave) is deaf forever, which this method
     /// cannot see. `armed_from` is the start of the earliest window the
-    /// chain will actually open: a sleeping machine cannot become
-    /// receptive inside an earlier on-paper window, because no event will
-    /// fire to open it (a chain re-armed mid-window starts at the *next*
-    /// window).
+    /// chain has not applied yet: a sleeping machine cannot become
+    /// receptive inside an earlier on-paper window, because the chain
+    /// will never open it (a chain re-armed mid-window starts at the
+    /// *next* window). The machine may lag behind `now` — boundaries
+    /// the medium applies lazily — and the answer is the same as for a
+    /// machine advanced to `now`.
     pub fn next_receptive_after(
         &self,
         now: SimTime,

@@ -8,12 +8,15 @@
 //! gates), so every observable — discovery traces, medium counters and
 //! the engine's RNG stream position — must be *bitwise identical*
 //! between the two modes, for any topology, duty cycle, scan pattern,
-//! scripted range flap or activity toggle.
+//! scripted range flap or activity toggle. One known gap, same-instant
+//! ordering against events of other kinds, is reproduced by the ignored
+//! `department_scale_same_instant_ordering`.
 
 use bt_baseband::hop::Train;
 use bt_baseband::medium::BbStats;
 use bt_baseband::params::{
-    DutyCycle, MediumConfig, ScanFreqModel, ScanPattern, StartFreq, StartTrain, TrainPolicy,
+    DutyCycle, MediumConfig, PageModel, ScanFreqModel, ScanPattern, StartFreq, StartTrain,
+    TrainPolicy,
 };
 use bt_baseband::world::BasebandWorld;
 use bt_baseband::{BbEvent, BdAddr, Discovery, MasterConfig, SlaveConfig};
@@ -43,6 +46,17 @@ struct Scenario {
     flaps: Vec<(u64, usize, usize, bool)>,
     /// Scripted `(at_ms, slave, active)` toggles.
     toggles: Vec<(u64, usize, bool)>,
+    /// Scripted `(at_ms, master, slave)` page requests and disconnects:
+    /// links coming up and going down re-arm scan chains.
+    pages: Vec<(u64, usize, usize)>,
+    disconnects: Vec<(u64, usize, usize)>,
+    /// Slot-accurate paging (page IDs read the slave's scan windows)
+    /// instead of the analytic model.
+    slot_accurate: bool,
+    /// `false`: every slave starts in every master's range. `true`:
+    /// slave `s` starts in master `s % n_masters`'s range only, as a
+    /// handheld starts in its home room.
+    home_rooms: bool,
     horizon_ms: u64,
 }
 
@@ -95,7 +109,78 @@ impl Scenario {
             lossy: rng.chance(0.3),
             flaps,
             toggles,
+            pages: vec![],
+            disconnects: vec![],
+            slot_accurate: false,
+            home_rooms: false,
             horizon_ms: 3000 + rng.below(6000),
+        }
+    }
+
+    /// A department-scale scenario: 9 masters (one per room) on periodic
+    /// duty cycles around the paper's 3.84 s / 15.4 s, 63 non-halting
+    /// slaves on the alternating scan, each starting in its home room;
+    /// range flaps walk slaves between rooms, activity toggles switch
+    /// handhelds off and on, and pages and disconnects bring links up
+    /// and down.
+    fn department(gen_seed: u64) -> Scenario {
+        const MASTERS: usize = 9;
+        const SLAVES: usize = 7 * MASTERS;
+        const HORIZON_MS: u64 = 30_000;
+        let mut rng = SimRng::seed_from(gen_seed);
+        let duties = (0..MASTERS)
+            .map(|_| {
+                let inquiry = 1000 + rng.below(2841);
+                Some((inquiry, inquiry + 2000 + rng.below(9561)))
+            })
+            .collect();
+        let flaps = (0..120)
+            .map(|_| {
+                (
+                    rng.below(HORIZON_MS),
+                    rng.below(MASTERS as u64) as usize,
+                    rng.below(SLAVES as u64) as usize,
+                    rng.chance(0.5),
+                )
+            })
+            .collect();
+        let toggles = (0..12)
+            .map(|_| {
+                (
+                    rng.below(HORIZON_MS),
+                    rng.below(SLAVES as u64) as usize,
+                    rng.chance(0.5),
+                )
+            })
+            .collect();
+        let mut links = |n| {
+            (0..n)
+                .map(|_| {
+                    let s = rng.below(SLAVES as u64) as usize;
+                    (rng.below(HORIZON_MS), s % MASTERS, s)
+                })
+                .collect::<Vec<_>>()
+        };
+        let pages = links(30);
+        let disconnects = links(15);
+        Scenario {
+            seed: rng.next_u64(),
+            n_masters: MASTERS,
+            n_slaves: SLAVES,
+            duties,
+            single_train: vec![false; MASTERS],
+            scans: vec![1; SLAVES],
+            halts: vec![false; SLAVES],
+            shared_freq: false,
+            collisions: true,
+            lossy: rng.chance(0.5),
+            flaps,
+            toggles,
+            pages,
+            disconnects,
+            slot_accurate: gen_seed % 2 == 1,
+            home_rooms: true,
+            horizon_ms: HORIZON_MS,
         }
     }
 }
@@ -120,6 +205,11 @@ fn run_mode(sc: &Scenario, skip_ahead: bool) -> (Observed, u64) {
             ScanFreqModel::PerDevice
         },
         packet_success: if sc.lossy { 0.9 } else { 1.0 },
+        page_model: if sc.slot_accurate {
+            PageModel::SlotAccurate
+        } else {
+            PageModel::Analytic
+        },
         skip_ahead,
         ..MediumConfig::default()
     });
@@ -152,10 +242,18 @@ fn run_mode(sc: &Scenario, skip_ahead: bool) -> (Observed, u64) {
         }
         builder = builder.slave(cfg);
     }
-    let world = builder.build();
+    let world = builder.all_in_range(!sc.home_rooms).build();
     let masters: Vec<_> = (0..sc.n_masters).map(|m| world.master(m)).collect();
     let slaves: Vec<_> = (0..sc.n_slaves).map(|s| world.slave(s)).collect();
     let mut engine = world.into_engine(sc.seed);
+    if sc.home_rooms {
+        for (s, &slave) in slaves.iter().enumerate() {
+            engine.schedule(
+                SimTime::ZERO,
+                BbEvent::set_in_range(masters[s % sc.n_masters], slave, true),
+            );
+        }
+    }
     for &(at, m, s, on) in &sc.flaps {
         engine.schedule(
             SimTime::from_millis(at),
@@ -166,6 +264,18 @@ fn run_mode(sc: &Scenario, skip_ahead: bool) -> (Observed, u64) {
         engine.schedule(
             SimTime::from_millis(at),
             BbEvent::set_slave_active(slaves[s], on),
+        );
+    }
+    for &(at, m, s) in &sc.pages {
+        engine.schedule(
+            SimTime::from_millis(at),
+            BbEvent::request_page(masters[m], slaves[s]),
+        );
+    }
+    for &(at, m, s) in &sc.disconnects {
+        engine.schedule(
+            SimTime::from_millis(at),
+            BbEvent::disconnect(masters[m], slaves[s]),
         );
     }
     engine.run_until(SimTime::from_millis(sc.horizon_ms));
@@ -228,6 +338,10 @@ fn table1_style_replications_match() {
         lossy: false,
         flaps: vec![],
         toggles: vec![],
+        pages: vec![],
+        disconnects: vec![],
+        slot_accurate: false,
+        home_rooms: false,
         horizon_ms: 11_000,
     };
     let deriver = desim::SeedDeriver::new(2003);
@@ -261,9 +375,100 @@ fn figure2_style_replications_match() {
                 lossy: false,
                 flaps: vec![],
                 toggles: vec![],
+                pages: vec![],
+                disconnects: vec![],
+                slot_accurate: false,
+                home_rooms: false,
                 horizon_ms: 14_000,
             };
             assert_equivalent(&sc);
         }
+    }
+}
+
+/// Department scale: 9 masters and 63 alternating slaves with duty
+/// cycles, range flaps and activity toggles stay bit-identical across
+/// modes — the regime the full BIPS deployment runs in.
+#[test]
+fn department_scale_matches() {
+    for gen_seed in [1u64, 2, 3] {
+        assert_equivalent(&Scenario::department(gen_seed));
+    }
+}
+
+/// FNV-1a 64 over whole words.
+fn fnv(h: &mut u64, word: u64) {
+    *h = (*h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+}
+
+fn fold_observed(h: &mut u64, o: &Observed) {
+    fnv(h, o.discoveries.len() as u64);
+    for d in &o.discoveries {
+        fnv(h, d.master.index() as u64);
+        fnv(h, d.slave.index() as u64);
+        fnv(h, d.at.as_micros());
+    }
+    let st = &o.stats;
+    for v in [
+        st.ids_transmitted,
+        st.ids_heard,
+        st.backoffs,
+        st.fhs_transmitted,
+        st.fhs_received,
+        st.fhs_collided,
+        st.fhs_missed_phase,
+        st.pages_started,
+        st.pages_completed,
+        st.pages_failed,
+        st.links_lost,
+        st.data_delivered,
+    ] {
+        fnv(h, v);
+    }
+    fnv(h, o.now.as_micros());
+    for &r in &o.rng_tail {
+        fnv(h, r);
+    }
+}
+
+/// Golden pin on the naive chain. The equivalence tests compare the two
+/// modes with each other, so they cannot see a change both modes share
+/// (scan windows, for one, are applied the same way in both); this pin
+/// can. The constants were recorded with scan windows as calendar
+/// events; a mismatch means the medium's observable behaviour changed.
+#[test]
+fn naive_mode_matches_golden() {
+    let mut generated = 0xcbf2_9ce4_8422_2325;
+    for gen_seed in 0..24 {
+        fold_observed(
+            &mut generated,
+            &run_mode(&Scenario::from_generator_seed(gen_seed), false).0,
+        );
+    }
+    let mut department = 0xcbf2_9ce4_8422_2325;
+    fold_observed(
+        &mut department,
+        &run_mode(&Scenario::department(1), false).0,
+    );
+    assert_eq!(
+        (generated, department),
+        (0x1742_24f2_1f5f_5ea5, 0xad86_a72c_85ab_4694),
+        "naive-mode observables moved: got {generated:#018x}, {department:#018x}"
+    );
+}
+
+/// Department seeds on which skip-ahead diverges from the naive chain
+/// today, in both the event-driven and the lazy scan-window models: a
+/// skip-ahead `InqTx` can take a different calendar position than the
+/// naive one among same-instant events of other kinds. A chain re-aimed
+/// after its naive arm instant queues behind an `FhsRx` armed in
+/// between, and a requeued sibling-deferred copy runs behind events the
+/// naive chain orders after it; both reorder RNG draws. Kept as the
+/// reproducer for the open ROADMAP item.
+#[test]
+#[ignore = "known skip-ahead same-instant ordering defect (ROADMAP)"]
+fn department_scale_same_instant_ordering() {
+    for gen_seed in [1012u64, 1017] {
+        assert_equivalent(&Scenario::department(gen_seed));
     }
 }

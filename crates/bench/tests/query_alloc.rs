@@ -2,12 +2,14 @@
 //!
 //! A counting global allocator wraps the system one; after warming the
 //! caller-owned path buffer, a burst of `where_is` queries across the
-//! whole outcome spectrum must not allocate at all. This lives in an
-//! integration test (its own crate root) so the counter only sees this
-//! test's traffic, and outside `bips-core`, which forbids unsafe code.
+//! whole outcome spectrum must not allocate at all. The test harness runs
+//! this file's tests on parallel threads, so the counter is per thread:
+//! `where_is` runs on the caller's thread, and each test reads only the
+//! allocations its own thread made. The allocator lives in an integration
+//! test (its own crate root) because `bips-core` forbids unsafe code.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use bips_core::graph::{PathEngine, PathEngineKind, WsGraph};
@@ -18,14 +20,27 @@ use desim::tracing::Tracer;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor, so the allocator can
+    // bump it without allocating, even during thread teardown.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations (reallocations included) made so far on this thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.try_with(Cell::get).unwrap_or(0)
+}
 
 // SAFETY: defers all allocation to the system allocator; the counter is
-// a relaxed atomic increment with no other side effects.
+// a thread-local increment with no other side effects.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds `GlobalAlloc::alloc`'s layout contract.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         // SAFETY: `layout` is forwarded verbatim from our caller.
         unsafe { System.alloc(layout) }
     }
@@ -39,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // SAFETY: caller upholds `GlobalAlloc::realloc`'s pointer/layout contract.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         // SAFETY: `ptr`/`layout`/`new_size` are forwarded verbatim from
         // our caller, and `ptr` was allocated by `System` (see `alloc`).
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -136,9 +151,9 @@ fn assert_zero_alloc_burst(svc: &ShardedService) {
     run_burst(svc, &mut path, &mut answered);
     assert!(answered > 0, "warm-up answered no queries");
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     run_burst(svc, &mut path, &mut answered);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -222,9 +237,9 @@ fn dynamic_sparse_warm_tree_queries_do_not_allocate() {
     run_warm_burst(&mut path, &mut answered);
     assert!(answered > 0, "warm-up answered no queries");
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     run_warm_burst(&mut path, &mut answered);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

@@ -76,7 +76,6 @@ pub mod report;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod tracing;
 
 pub use engine::{Context, Engine, EventId, Observer, World};
