@@ -42,14 +42,18 @@
 //!   audibility solver is kept until the slave's `version` changes (a
 //!   heard ID, a stop, a re-armed chain, an activity toggle, a link up
 //!   or down) or the master enters a new phase. Re-aiming a chain
-//!   re-solves only stale entries, and a transmission skips every slave
-//!   whose valid prediction lies after the pair.
+//!   re-solves only stale entries.
+//! * **One walk per transmission.** An `InqTx` walks its master's
+//!   coverage once, listing the slaves not proven deaf to the pair and
+//!   the earliest valid prediction of the rest. The deferral check, both
+//!   half-slots and the re-aim read only that list
+//!   (`collect_listeners` says why it stays exact).
 //!
 //! Backoff ends stay calendar events: they are rare, and their order
 //! against same-instant transmissions of other masters is what the
 //! naive chain defines.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use desim::compose::SubScheduler;
 use desim::{EventId, SimDuration, SimRng, SimTime};
@@ -359,6 +363,10 @@ struct MasterDev {
     skip: Option<SkipChain>,
     /// Cached audibility predictions, indexed by slave.
     predictions: Vec<Prediction>,
+    /// Scratch for one `InqTx` or wake: the in-range slaves that may hear
+    /// this master's pair at the instant it was built, ascending (see
+    /// `Baseband::collect_listeners`).
+    listeners: Vec<usize>,
 }
 
 /// One cached [`Baseband::slave_next_audible`] answer: the earliest slot
@@ -372,6 +380,15 @@ struct Prediction {
     version: u32,
     epoch: u32,
     at: SimTime,
+}
+
+impl Prediction {
+    /// The predicted pair, if the entry is valid for the master's phase
+    /// `epoch` and the slave's `version`.
+    #[inline]
+    fn valid(self, epoch: u32, version: u32) -> Option<SimTime> {
+        (self.epoch == epoch && self.version == version).then_some(self.at)
+    }
 }
 
 /// Lazy accounting for a master's inquiry chain under skip-ahead.
@@ -479,57 +496,74 @@ impl SlaveDev {
     }
 }
 
-/// Per-master slave coverage, one bit per (master, slave) pair packed
-/// into `u64` words. Replaces a hashed pair-set: the hot inquiry loop
-/// tests and iterates coverage with shifts and `trailing_zeros` instead
-/// of per-probe hashing.
+/// A set of (master, slave) pairs, one bit per pair in one flat word
+/// array: master `m`'s row is words `m * stride .. (m + 1) * stride`.
+/// The hot inquiry loop walks a row with shifts and `trailing_zeros`,
+/// and a first-sighting test is one bit probe instead of a tree lookup.
 #[derive(Default)]
-struct RangeMatrix {
-    /// `words[m]` is master `m`'s slave bitset, grown on demand.
-    words: Vec<Vec<u64>>,
+struct PairSet {
+    words: Vec<u64>,
+    /// Words per master row; rows widen on demand.
+    stride: usize,
 }
 
-impl RangeMatrix {
-    fn insert(&mut self, m: usize, sl: usize) {
-        if self.words.len() <= m {
-            self.words.resize_with(m + 1, Vec::new);
-        }
-        let row = &mut self.words[m];
+impl PairSet {
+    /// Adds the pair; returns whether it was absent.
+    fn insert(&mut self, m: usize, sl: usize) -> bool {
         let w = sl / 64;
-        if row.len() <= w {
-            row.resize(w + 1, 0);
+        if w >= self.stride {
+            self.widen(w + 1);
         }
-        row[w] |= 1u64 << (sl % 64);
+        let i = m * self.stride + w;
+        if self.words.len() <= i {
+            self.words.resize((m + 1) * self.stride, 0);
+        }
+        let bit = 1u64 << (sl % 64);
+        let absent = self.words[i] & bit == 0;
+        self.words[i] |= bit;
+        absent
+    }
+
+    /// Re-lays every row out `stride` words wide.
+    fn widen(&mut self, stride: usize) {
+        let old = std::mem::replace(&mut self.stride, stride);
+        if old == 0 {
+            return; // no row was ever laid out
+        }
+        let mut words = Vec::with_capacity(self.words.len() / old * stride);
+        for row in self.words.chunks(old) {
+            words.extend_from_slice(row);
+            words.resize(words.len() + stride - row.len(), 0);
+        }
+        self.words = words;
     }
 
     fn remove(&mut self, m: usize, sl: usize) {
-        if let Some(word) = self.words.get_mut(m).and_then(|row| row.get_mut(sl / 64)) {
-            *word &= !(1u64 << (sl % 64));
+        let w = sl / 64;
+        if w < self.stride {
+            if let Some(word) = self.words.get_mut(m * self.stride + w) {
+                *word &= !(1u64 << (sl % 64));
+            }
         }
     }
 
     #[inline]
     fn contains(&self, m: usize, sl: usize) -> bool {
-        self.words
-            .get(m)
-            .and_then(|row| row.get(sl / 64))
+        self.row(m)
+            .get(sl / 64)
             .is_some_and(|&word| word >> (sl % 64) & 1 == 1)
     }
 
-    /// Number of words in master `m`'s row.
+    /// Master `m`'s row (empty when no pair of `m` was ever added).
     #[inline]
-    fn row_words(&self, m: usize) -> usize {
-        self.words.get(m).map_or(0, Vec::len)
+    fn row(&self, m: usize) -> &[u64] {
+        self.words
+            .get(m * self.stride..(m + 1) * self.stride)
+            .unwrap_or(&[])
     }
 
-    /// Word `w` of master `m`'s row (0 when out of bounds).
-    #[inline]
-    fn word(&self, m: usize, w: usize) -> u64 {
-        self.words
-            .get(m)
-            .and_then(|row| row.get(w))
-            .copied()
-            .unwrap_or(0)
+    fn clear_all(&mut self) {
+        self.words.fill(0);
     }
 }
 
@@ -588,10 +622,10 @@ pub struct Baseband {
     cfg: MediumConfig,
     masters: Vec<MasterDev>,
     slaves: Vec<SlaveDev>,
-    in_range: RangeMatrix,
+    in_range: PairSet,
     fhs_buckets: FhsBuckets,
     discoveries: Vec<Discovery>,
-    discovered_pairs: BTreeSet<(usize, usize)>,
+    discovered: PairSet,
     /// Ordered map: [`Baseband::active_slaves`] iterates the keys, so
     /// the order must not depend on a hasher (determinism invariant).
     links: BTreeMap<(usize, usize), Link>,
@@ -630,10 +664,10 @@ impl Baseband {
             cfg,
             masters: Vec::new(),
             slaves: Vec::new(),
-            in_range: RangeMatrix::default(),
+            in_range: PairSet::default(),
             fhs_buckets: FhsBuckets::default(),
             discoveries: Vec::new(),
-            discovered_pairs: BTreeSet::new(),
+            discovered: PairSet::default(),
             links: BTreeMap::new(),
             notifications: Vec::new(),
             stats: BbStats::default(),
@@ -674,6 +708,7 @@ impl Baseband {
             first_pair: SimTime::ZERO,
             skip: None,
             predictions: Vec::new(),
+            listeners: Vec::new(),
         });
         MasterId(id)
     }
@@ -920,7 +955,7 @@ impl Baseband {
     /// Clears the discovery record (e.g. between measurement trials).
     pub fn reset_discoveries(&mut self) {
         self.discoveries.clear();
-        self.discovered_pairs.clear();
+        self.discovered.clear_all();
     }
 
     /// Medium counters.
@@ -966,9 +1001,12 @@ impl Baseband {
         metrics.set_counter("baseband.data.delivered", s.data_delivered);
     }
 
-    /// Drains accumulated notifications, oldest first.
-    pub fn drain_notifications(&mut self) -> Vec<BbNotification> {
-        std::mem::take(&mut self.notifications)
+    /// Moves the accumulated notifications, oldest first, onto the end of
+    /// `out`. Passing the same buffer every time keeps both it and the
+    /// medium's queue at their capacity, so draining allocates nothing in
+    /// steady state.
+    pub fn drain_notifications(&mut self, out: &mut Vec<BbNotification>) {
+        out.append(&mut self.notifications);
     }
 
     /// Launches every configured device: masters begin their duty cycles,
@@ -1140,6 +1178,9 @@ impl Baseband {
         if self.masters[m].plan.phase_at(now) != Phase::Inquiry {
             return; // phase boundary will restart the chain
         }
+        // The one walk over `m`'s coverage for this transmission: the
+        // deferral check, both half-slots and the re-aim read its list.
+        let future = self.collect_listeners(m, now);
         if self.cfg.skip_ahead {
             // This is the chain's own event; its id is spent.
             if let Some(chain) = self.masters[m].skip.as_mut() {
@@ -1173,7 +1214,7 @@ impl Baseband {
             if let Some(chain) = self.masters[m].skip.as_mut() {
                 chain.from = now + SLOT_PAIR;
             }
-            self.rearm_inquiry(s, m);
+            self.rearm_inquiry(s, m, future);
         } else {
             s.schedule(
                 now + SLOT_PAIR,
@@ -1209,21 +1250,47 @@ impl Baseband {
         dev.first_window_start == now && dev.window_armed_at >= self.naive_arm_instant(m, now)
     }
 
-    /// Master `m`'s cached prediction for slave `sl`, if still valid.
-    fn cached_prediction(&self, m: usize, sl: usize) -> Option<SimTime> {
-        let p = self.masters[m].predictions[sl];
-        (p.epoch == self.masters[m].epoch && p.version == self.slaves[sl].version).then_some(p.at)
-    }
-
-    /// Whether master `m`'s valid cached prediction proves slave `sl`
-    /// deaf to the whole pair at `now`.
-    fn predicted_deaf(&self, m: usize, sl: usize, now: SimTime) -> bool {
-        self.cached_prediction(m, sl).is_some_and(|at| at > now)
+    /// Walks master `m`'s coverage once and fills `m`'s `listeners` with
+    /// the slaves that are active, unconnected and scanning and not
+    /// proven deaf at `now` by a valid cached prediction (one after
+    /// `now`), in ascending order. Returns the earliest valid prediction
+    /// of the other scanning slaves (`MAX` if none).
+    ///
+    /// Within one `InqTx` handler the list stays exact: only listed
+    /// slaves can hear, so only their `version` can move; coverage and
+    /// `m`'s epoch are fixed; and waking other masters never writes
+    /// `m`'s predictions. The pair's deferral check, both half-slots and
+    /// the re-aim therefore all read this one list.
+    fn collect_listeners(&mut self, m: usize, now: SimTime) -> SimTime {
+        let MasterDev {
+            epoch,
+            predictions,
+            listeners,
+            ..
+        } = &mut self.masters[m];
+        listeners.clear();
+        let mut future = SimTime::MAX;
+        for (w, &word) in self.in_range.row(m).iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let sl = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let dev = &self.slaves[sl];
+                if !dev.active || dev.connected_to.is_some() || !dev.scanning {
+                    continue;
+                }
+                match predictions[sl].valid(*epoch, dev.version) {
+                    Some(at) if at > now => future = future.min(at),
+                    _ => listeners.push(sl),
+                }
+            }
+        }
+        future
     }
 
     /// Whether the skip-ahead `InqTx` firing at `now` must requeue itself
     /// behind the other events of this instant to reproduce the naive
-    /// processing order.
+    /// processing order. Reads the listeners collected at `now`.
     ///
     /// The naive chain scheduled the `InqTx` for pair `now` while
     /// processing the previous pair (or at phase entry, for the first
@@ -1272,27 +1339,11 @@ impl Baseband {
             return false;
         }
         let naive_sched = key.0;
-        for w in 0..self.in_range.row_words(m) {
-            let mut bits = self.in_range.word(m, w);
-            while bits != 0 {
-                let sl = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let dev = &self.slaves[sl];
-                if !dev.active
-                    || dev.connected_to.is_some()
-                    || !dev.scanning
-                    || self.predicted_deaf(m, sl, now)
-                {
-                    continue;
-                }
-                if matches!(dev.machine.phase(), ScanPhase::Backoff { until } if until == now)
-                    && dev.backoff_armed_at < naive_sched
-                {
-                    return true;
-                }
-            }
-        }
-        false
+        self.masters[m].listeners.iter().any(|&sl| {
+            let dev = &self.slaves[sl];
+            matches!(dev.machine.phase(), ScanPhase::Backoff { until } if until == now)
+                && dev.backoff_armed_at < naive_sched
+        })
     }
 
     /// Accounts every pending slot pair strictly before `up_to` on master
@@ -1322,11 +1373,15 @@ impl Baseband {
     /// slot pair any in-range, active, unconnected, scanning slave could
     /// hear and schedules the next `InqTx` there — or leaves the chain
     /// dormant when no such pair exists before the phase boundary.
-    /// Valid cached predictions are reused; stale ones are re-solved up
-    /// to the phase boundary and cached.
+    ///
+    /// Reads `m`'s listeners and their `future` minimum as collected at
+    /// `now`. The unlisted slaves' valid predictions all lie after `now`,
+    /// so they stand as cached. A listed slave's valid prediction is
+    /// reused if it lies at or after `from`; any other is re-solved up to
+    /// the phase boundary and cached.
     ///
     /// Requires `skip` to be `Some` with `from` settled past `now`.
-    fn rearm_inquiry<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, m: usize) {
+    fn rearm_inquiry<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, m: usize, future: SimTime) {
         let Some(chain) = self.masters[m].skip.as_ref() else {
             return;
         };
@@ -1338,30 +1393,20 @@ impl Baseband {
             .plan
             .next_boundary(s.now())
             .map_or(SimTime::MAX, |(t, _)| t);
-        let mut target = bound;
-        for w in 0..self.in_range.row_words(m) {
-            let mut bits = self.in_range.word(m, w);
-            while bits != 0 {
-                let sl = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let dev = &self.slaves[sl];
-                if !dev.active || dev.connected_to.is_some() || !dev.scanning {
-                    continue;
+        let mut target = bound.min(future);
+        for i in 0..self.masters[m].listeners.len() {
+            let sl = self.masters[m].listeners[i];
+            let version = self.slaves[sl].version;
+            let cached = self.masters[m].predictions[sl].valid(epoch, version);
+            let at = match cached.filter(|&at| at >= from) {
+                Some(at) => at,
+                None => {
+                    let at = self.slave_next_audible(m, sl, from, bound);
+                    self.masters[m].predictions[sl] = Prediction { version, epoch, at };
+                    at
                 }
-                let at = match self.cached_prediction(m, sl).filter(|&at| at >= from) {
-                    Some(at) => at,
-                    None => {
-                        let at = self.slave_next_audible(m, sl, from, bound);
-                        self.masters[m].predictions[sl] = Prediction {
-                            version: dev.version,
-                            epoch,
-                            at,
-                        };
-                        at
-                    }
-                };
-                target = target.min(at);
-            }
+            };
+            target = target.min(at);
         }
         if armed && target >= aimed_at {
             // Never move an armed aim later (and keep an unchanged aim):
@@ -1423,7 +1468,8 @@ impl Baseband {
             return;
         }
         self.settle_master(m, s.now());
-        self.rearm_inquiry(s, m);
+        let future = self.collect_listeners(m, s.now());
+        self.rearm_inquiry(s, m, future);
     }
 
     /// The earliest slot pair on master `m`'s grid (`from + j·SLOT_PAIR`,
@@ -1520,67 +1566,58 @@ impl Baseband {
         at: SimTime,
     ) {
         let now = s.now();
-        // Walk only the slaves in this master's coverage bitset, ascending
-        // (same probe order — and therefore RNG draw order — as a linear
-        // scan over all slaves).
-        for w in 0..self.in_range.row_words(m) {
-            let mut bits = self.in_range.word(m, w);
-            while bits != 0 {
-                let sl = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let dev = &self.slaves[sl];
-                if !dev.active
-                    || dev.connected_to.is_some()
-                    || self.predicted_deaf(m, sl, now)
-                    || self.tie_deaf(m, sl, now)
-                {
-                    continue;
-                }
-                // Both half-slots see the state as of `now`: boundaries
-                // inside the pair fire after this handler in the naive
-                // model.
+        // Walk only the listeners collected for this pair, ascending (same
+        // probe order — and therefore RNG draw order — as a linear scan
+        // over all slaves). Every other slave is deaf to the whole pair.
+        for i in 0..self.masters[m].listeners.len() {
+            let sl = self.masters[m].listeners[i];
+            if self.tie_deaf(m, sl, now) {
+                continue;
+            }
+            // Both half-slots see the state as of `now`: boundaries
+            // inside the pair fire after this handler in the naive
+            // model.
+            let dev = &mut self.slaves[sl];
+            dev.advance_windows(now);
+            if !dev.machine.hears_inquiry(at) || dev.scan_freq(at) != freq {
+                continue;
+            }
+            // Channel errors: the paper assumes an error-free environment;
+            // packet_success < 1 models a lossy cell edge.
+            if self.cfg.packet_success < 1.0 && !s.rng().chance(self.cfg.packet_success) {
+                continue;
+            }
+            self.stats.ids_heard += 1;
+            let action = {
                 let dev = &mut self.slaves[sl];
-                dev.advance_windows(now);
-                if !dev.machine.hears_inquiry(at) || dev.scan_freq(at) != freq {
-                    continue;
+                dev.bump();
+                dev.machine.hear_id(at, s.rng())
+            };
+            let version = self.slaves[sl].version;
+            match action {
+                ScanAction::StartBackoff(until) => {
+                    self.stats.backoffs += 1;
+                    self.slaves[sl].backoff_armed_at = now;
+                    s.schedule(until, BbEvent(Ev::BackoffEnd { slave: sl, version }));
+                    self.wake_other_masters(s, m, sl);
                 }
-                // Channel errors: the paper assumes an error-free environment;
-                // packet_success < 1 models a lossy cell edge.
-                if self.cfg.packet_success < 1.0 && !s.rng().chance(self.cfg.packet_success) {
-                    continue;
-                }
-                self.stats.ids_heard += 1;
-                let action = {
-                    let dev = &mut self.slaves[sl];
-                    dev.bump();
-                    dev.machine.hear_id(at, s.rng())
-                };
-                let version = self.slaves[sl].version;
-                match action {
-                    ScanAction::StartBackoff(until) => {
-                        self.stats.backoffs += 1;
-                        self.slaves[sl].backoff_armed_at = now;
-                        s.schedule(until, BbEvent(Ev::BackoffEnd { slave: sl, version }));
-                        self.wake_other_masters(s, m, sl);
+                ScanAction::Respond {
+                    at: tx,
+                    backoff_until,
+                } => {
+                    self.stats.fhs_transmitted += 1;
+                    let key = tx.elapsed().div_duration(SimDuration::from_units_0125us(1));
+                    if self.fhs_buckets.push((m, key), sl) {
+                        s.schedule(tx, BbEvent(Ev::FhsRx { master: m, key }));
                     }
-                    ScanAction::Respond {
-                        at: tx,
+                    self.slaves[sl].backoff_armed_at = now;
+                    s.schedule(
                         backoff_until,
-                    } => {
-                        self.stats.fhs_transmitted += 1;
-                        let key = tx.elapsed().div_duration(SimDuration::from_units_0125us(1));
-                        if self.fhs_buckets.push((m, key), sl) {
-                            s.schedule(tx, BbEvent(Ev::FhsRx { master: m, key }));
-                        }
-                        self.slaves[sl].backoff_armed_at = now;
-                        s.schedule(
-                            backoff_until,
-                            BbEvent(Ev::BackoffEnd { slave: sl, version }),
-                        );
-                        self.wake_other_masters(s, m, sl);
-                    }
-                    ScanAction::None => {}
+                        BbEvent(Ev::BackoffEnd { slave: sl, version }),
+                    );
+                    self.wake_other_masters(s, m, sl);
                 }
+                ScanAction::None => {}
             }
         }
     }
@@ -1618,7 +1655,7 @@ impl Baseband {
                 slave: SlaveId(sl),
                 at: now,
             });
-            if self.discovered_pairs.insert((m, sl)) {
+            if self.discovered.insert(m, sl) {
                 let d = Discovery {
                     master: MasterId(m),
                     slave: SlaveId(sl),
@@ -1963,8 +2000,33 @@ mod tests {
         }
     }
 
+    /// Every notification the medium has accumulated, oldest first.
+    fn drained(e: &mut Engine<TestWorld>) -> Vec<BbNotification> {
+        let mut notes = Vec::new();
+        e.world_mut().bb.drain_notifications(&mut notes);
+        notes
+    }
+
     fn continuous_slave(i: u64) -> SlaveConfig {
         SlaveConfig::new(BdAddr::new(0x1000 + i)).scan(ScanPattern::continuous_inquiry())
+    }
+
+    #[test]
+    fn pair_set_keeps_pairs_across_widening() {
+        let mut set = PairSet::default();
+        assert!(set.insert(2, 5));
+        assert!(!set.insert(2, 5), "second insert reports presence");
+        assert!(set.insert(0, 63));
+        // Slave 200 lives in word 3: every row is re-laid 4 words wide.
+        assert!(set.insert(1, 200));
+        assert!(set.contains(2, 5) && set.contains(0, 63) && set.contains(1, 200));
+        assert!(!set.contains(1, 5) && !set.contains(3, 5) && !set.contains(2, 300));
+        assert_eq!(set.row(1), &[0, 0, 0, 1 << 8]);
+        set.remove(2, 5);
+        set.remove(7, 900); // absent pairs are a no-op
+        assert!(!set.contains(2, 5) && set.contains(0, 63));
+        set.clear_all();
+        assert!(!set.contains(0, 63) && !set.contains(1, 200));
     }
 
     #[test]
@@ -2094,7 +2156,7 @@ mod tests {
         assert_eq!(e.world().bb.discoveries().len(), 1);
         e.schedule(SimTime::from_secs(20), BbEvent::request_page(m, s));
         e.run_until(SimTime::from_secs(40));
-        let notes = e.world_mut().bb.drain_notifications();
+        let notes = drained(&mut e);
         assert!(
             notes
                 .iter()
@@ -2111,7 +2173,7 @@ mod tests {
             BbEvent::send_data(m, s, vec![9u8; 64], 7),
         );
         e.run_until(SimTime::from_secs(41));
-        let notes = e.world_mut().bb.drain_notifications();
+        let notes = drained(&mut e);
         assert!(notes.iter().any(
             |n| matches!(n, BbNotification::DataDelivered { tag: 7, payload, .. } if payload.len() == 64)
         ));
@@ -2134,7 +2196,7 @@ mod tests {
         // Walk away.
         e.schedule(SimTime::from_secs(30), BbEvent::set_in_range(m, s, false));
         e.run_until(SimTime::from_secs(40));
-        let notes = e.world_mut().bb.drain_notifications();
+        let notes = drained(&mut e);
         assert!(
             notes
                 .iter()
@@ -2360,14 +2422,12 @@ mod page_model_tests {
 
     fn link_time(e: &mut Engine<TestWorld>) -> Option<SimTime> {
         e.run_until(SimTime::from_secs(30));
-        e.world_mut()
-            .bb
-            .drain_notifications()
-            .into_iter()
-            .find_map(|n| match n {
-                BbNotification::LinkEstablished { at, .. } => Some(at),
-                _ => None,
-            })
+        let mut notes = Vec::new();
+        e.world_mut().bb.drain_notifications(&mut notes);
+        notes.into_iter().find_map(|n| match n {
+            BbNotification::LinkEstablished { at, .. } => Some(at),
+            _ => None,
+        })
     }
 
     #[test]
@@ -2455,7 +2515,8 @@ mod page_model_tests {
             e.schedule(SimTime::ZERO, BbEvent::set_in_range(m, sl, true));
             e.schedule(SimTime::from_secs(1), BbEvent::request_page(m, sl));
             e.run_until(SimTime::from_secs(30));
-            let notes = e.world_mut().bb.drain_notifications();
+            let mut notes = Vec::new();
+            e.world_mut().bb.drain_notifications(&mut notes);
             assert!(
                 notes
                     .iter()
@@ -2523,7 +2584,8 @@ mod range_flap_tests {
             Some(m),
             "link must survive a sub-timeout fade"
         );
-        let notes = e.world_mut().bb.drain_notifications();
+        let mut notes = Vec::new();
+        e.world_mut().bb.drain_notifications(&mut notes);
         assert!(
             !notes
                 .iter()

@@ -1,9 +1,10 @@
-//! Criterion bench for the desim engine itself: raw event throughput and
-//! the cost of the calendar under cancellation churn — the numbers that
-//! bound how much virtual time per wall second every experiment gets.
+//! Criterion bench for the desim engine itself: raw event throughput,
+//! the cost of the calendar under cancellation churn, and a calendar
+//! shaped like the simulated department's — the numbers that bound how
+//! much virtual time per wall second every experiment gets.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use desim::{Context, Engine, SimDuration, SimTime, World};
+use desim::{Context, Engine, EventId, SimDuration, SimTime, World};
 
 struct SelfScheduler {
     remaining: u64,
@@ -36,6 +37,81 @@ impl World for Canceller {
     }
 }
 
+/// A 64-byte event, the size of the full-system event enum.
+struct Payload([u64; 8]);
+
+/// Events pending at once in the department calendar: what the
+/// `paper_dept` deployment keeps queued (~685 on average).
+const DEPT_PENDING: u64 = 700;
+
+/// Ids a re-aim may pick from: the most recently scheduled ones.
+const RECENT: usize = 256;
+
+/// A calendar like the department deployment's: `DEPT_PENDING` events
+/// in flight, each handled one re-arming at a slot-grid delay (most
+/// events) or a long timer delay (one in eight), and one in eight
+/// handlers re-aiming, which cancels a recent event and schedules its
+/// replacement.
+struct Department {
+    remaining: u64,
+    recent: Vec<EventId>,
+    next: usize,
+}
+
+impl Department {
+    fn remember(&mut self, id: EventId) {
+        if self.recent.len() < RECENT {
+            self.recent.push(id);
+        } else {
+            self.recent[self.next] = id;
+            self.next = (self.next + 1) % RECENT;
+        }
+    }
+}
+
+impl World for Department {
+    type Event = Payload;
+    fn handle(&mut self, ctx: &mut Context<Payload>, ev: Payload) {
+        if self.remaining == 0 {
+            return;
+        }
+        self.remaining -= 1;
+        let kind = ctx.rng().below(8);
+        let delay = if kind == 0 {
+            SimDuration::from_millis(10 + ctx.rng().below(5_000))
+        } else {
+            SimDuration::from_micros(625 * (1 + ctx.rng().below(64)))
+        };
+        let mut next = ev.0;
+        next[0] += 1;
+        let id = ctx.schedule_in(delay, Payload(next));
+        self.remember(id);
+        if kind == 1 {
+            let k = ctx.rng().below(self.recent.len() as u64) as usize;
+            if ctx.cancel(self.recent[k]) {
+                let delay = SimDuration::from_micros(625 * (1 + ctx.rng().below(64)));
+                let id = ctx.schedule_in(delay, Payload(next));
+                self.recent[k] = id;
+            }
+        }
+    }
+}
+
+fn department(events: u64) -> Engine<Department> {
+    let world = Department {
+        remaining: events,
+        recent: Vec::new(),
+        next: 0,
+    };
+    let mut e = Engine::new(world, 1);
+    for i in 0..DEPT_PENDING {
+        let at = SimTime::from_micros(625 * e.context_mut().rng().below(80));
+        let id = e.schedule(at, Payload([i; 8]));
+        e.world_mut().remember(id);
+    }
+    e
+}
+
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     g.bench_function("100k_chained_events", |b| {
@@ -56,6 +132,13 @@ fn bench_engine(c: &mut Criterion) {
                 e.schedule(SimTime::ZERO, 0);
                 e
             },
+            |mut e| e.run(),
+            BatchSize::SmallInput,
+        )
+    });
+    g.bench_function("100k_events_department_calendar", |b| {
+        b.iter_batched(
+            || department(100_000),
             |mut e| e.run(),
             BatchSize::SmallInput,
         )

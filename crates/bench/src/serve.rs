@@ -18,6 +18,8 @@
 //!   [`begin_stream_frame`] / [`RpcCodec::append_response_header`] /
 //!   [`ShardedService::serve_payload`] / [`end_stream_frame`], no
 //!   per-response allocation) and flushed with a single `write_all`.
+//!   Accepted TCP sockets set `TCP_NODELAY`, so that write leaves at
+//!   once instead of waiting for the peer to acknowledge the last one.
 //! * **Bounded backpressure.** The server reads at most 64 KiB before
 //!   serving and responding, and flushes the write buffer whenever it
 //!   crosses the coalesce limit (256 KiB) mid-batch. A client that
@@ -188,7 +190,12 @@ impl Server {
         let mut next_host: usize = 1;
         loop {
             let conn = match &self.listener {
-                Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+                Listener::Tcp(l) => l.accept().and_then(|(s, _)| {
+                    // Without this, Nagle holds a batch's reply write
+                    // until the peer acknowledges the previous reply.
+                    s.set_nodelay(true)?;
+                    Ok(Conn::Tcp(s))
+                }),
                 Listener::Uds(l, _) => l.accept().map(|(s, _)| Conn::Uds(s)),
             };
             if shutdown.load(Ordering::SeqCst) {

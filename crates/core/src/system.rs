@@ -361,6 +361,9 @@ struct QueryRt {
 #[derive(Debug)]
 pub struct BipsSystem {
     bb: Baseband,
+    /// Reused buffer the medium's notifications are drained into; empty
+    /// between events.
+    bb_notes: Vec<BbNotification>,
     lan: Lan,
     tr: Reliable,
     mob: MobilityModel,
@@ -564,8 +567,9 @@ impl BipsSystem {
     fn on_bb(&mut self, ctx: &mut Context<SysEvent>, ev: BbEvent) {
         self.bb
             .handle(&mut MappedContext::new(ctx, SysEvent::Bb), ev);
-        let notes = self.bb.drain_notifications();
-        for n in notes {
+        let mut notes = std::mem::take(&mut self.bb_notes);
+        self.bb.drain_notifications(&mut notes);
+        for n in notes.drain(..) {
             match n {
                 BbNotification::FhsSeen { master, slave, at } => {
                     let addr = self.bb.slave_addr(slave);
@@ -610,6 +614,7 @@ impl BipsSystem {
                 BbNotification::FhsCollision { .. } => {}
             }
         }
+        self.bb_notes = notes;
     }
 
     fn on_link_up(&mut self, ctx: &mut Context<SysEvent>, master: MasterId, slave: SlaveId) {
@@ -1373,6 +1378,7 @@ impl SystemBuilder {
 
         let system = BipsSystem {
             bb,
+            bb_notes: Vec::new(),
             lan,
             tr: Reliable::new(ReliableConfig::default()),
             mob,

@@ -10,6 +10,12 @@
 //! (FIFO tie-break by a monotone sequence number), and all randomness comes
 //! from the engine's seeded RNG, so a simulation is a pure function of the
 //! initial world, the seed, and the initial events.
+//!
+//! Layout: the calendar keeps ordering and storage apart. The heap holds
+//! 24-byte `(at, seq, slot)` keys; each pending event sits in a slab slot
+//! that does not move while the event waits. Because `(at, seq)` is a
+//! total order, the pop sequence depends only on the keys, never on the
+//! heap's internal shape.
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -90,24 +96,25 @@ pub trait Observer<E> {
     }
 }
 
-/// One entry in the calendar heap. Ordered by `(at, seq)`: time order
-/// with a FIFO tie-break through the monotone sequence number.
-struct Node<E> {
+/// One entry in the calendar heap: the ordering key and the slab slot
+/// holding the event. Ordered by `(at, seq)`: time order with a FIFO
+/// tie-break through the monotone sequence number. Small and `Copy`, so
+/// sifting moves 24 bytes per level whatever the event type.
+#[derive(Clone, Copy)]
+struct Key {
     at: SimTime,
     seq: u64,
-    /// Index of this entry's slab slot (for position bookkeeping).
     slot: u32,
-    event: E,
 }
 
-impl<E> Node<E> {
+impl Key {
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
+    fn order(&self) -> (SimTime, u64) {
         (self.at, self.seq)
     }
 }
 
-/// Per-slot slab metadata: where the slot's node currently sits in the
+/// Per-slot slab metadata: where the slot's key currently sits in the
 /// heap, and a generation tag bumped every time the slot is vacated.
 #[derive(Clone, Copy)]
 struct SlotMeta {
@@ -120,8 +127,8 @@ struct SlotMeta {
 const FREE: u32 = u32::MAX;
 
 /// Branching factor of the calendar heap. A 4-ary layout halves the tree
-/// depth of a binary heap and keeps each node's children in one cache
-/// line, which measurably helps the schedule/pop churn of the hot loop.
+/// depth of a binary heap and keeps each key's children in 96 contiguous
+/// bytes, which measurably helps the schedule/pop churn of the hot loop.
 const ARITY: usize = 4;
 
 /// The engine surface visible to event handlers: the clock, the calendar and
@@ -131,14 +138,23 @@ const ARITY: usize = 4;
 /// it to schedule follow-up events with [`schedule_in`](Context::schedule_in)
 /// or [`schedule_at`](Context::schedule_at), to [`cancel`](Context::cancel)
 /// pending events, and to draw random values via [`rng`](Context::rng).
+///
+/// The calendar is split in two. A 4-ary min-heap orders small `Copy`
+/// keys `(at, seq, slot)`; the events themselves stay put in a slab
+/// indexed by `slot`, next to that slot's metadata. Sifting moves a hole
+/// through the heap, one key write per level, and never touches an event,
+/// so the per-operation cost does not grow with the event type.
 pub struct Context<E> {
     now: SimTime,
-    /// Index-tracked min-heap of pending events (d-ary, see [`ARITY`]).
-    heap: Vec<Node<E>>,
+    /// Index-tracked min-heap of pending event keys.
+    heap: Vec<Key>,
     /// Slab of slot metadata; `heap[slots[s].heap_pos].slot == s` for every
     /// occupied slot `s`. Grows to the high-water mark of simultaneously
     /// pending events and is reused thereafter.
     slots: Vec<SlotMeta>,
+    /// The pending events, parallel to `slots`: `Some` exactly for the
+    /// occupied slots.
+    events: Vec<Option<E>>,
     /// Vacant slab slots, reused LIFO.
     free: Vec<u32>,
     next_seq: u64,
@@ -151,6 +167,7 @@ impl<E> Context<E> {
             now: SimTime::ZERO,
             heap: Vec::new(),
             slots: Vec::new(),
+            events: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
             rng,
@@ -177,7 +194,10 @@ impl<E> Context<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = match self.free.pop() {
-            Some(s) => s,
+            Some(s) => {
+                self.events[s as usize] = Some(event);
+                s
+            }
             None => {
                 let s = self.slots.len();
                 assert!(s < FREE as usize, "calendar slot index overflow");
@@ -185,19 +205,15 @@ impl<E> Context<E> {
                     generation: 0,
                     heap_pos: FREE,
                 });
+                self.events.push(Some(event));
                 s as u32
             }
         };
         let generation = self.slots[slot as usize].generation;
         let pos = self.heap.len();
-        self.heap.push(Node {
-            at,
-            seq,
-            slot,
-            event,
-        });
-        self.slots[slot as usize].heap_pos = pos as u32;
-        self.sift_up(pos);
+        let key = Key { at, seq, slot };
+        self.heap.push(key);
+        self.sift_up(pos, key);
         EventId::pack(slot, generation)
     }
 
@@ -215,9 +231,10 @@ impl<E> Context<E> {
     /// Cancels a pending event. Returns `true` if the event was still
     /// pending, `false` if it already ran or was already cancelled.
     ///
-    /// Cancellation is *eager*: the entry is removed from the heap in
-    /// O(log n) and its slab slot reclaimed immediately, so cancelled
-    /// events cost neither memory nor pop-time tombstone skips.
+    /// Cancellation is *eager*: the key is removed from the heap in
+    /// O(log n), the event is dropped and its slab slot reclaimed
+    /// immediately, so cancelled events cost neither memory nor pop-time
+    /// tombstone skips.
     pub fn cancel(&mut self, id: EventId) -> bool {
         let slot = id.slot();
         let Some(meta) = self.slots.get(slot as usize) else {
@@ -250,25 +267,32 @@ impl<E> Context<E> {
         &mut self.rng
     }
 
-    /// Restores the heap invariant upward from `pos`, returning the final
-    /// position of the node that started there.
-    fn sift_up(&mut self, mut pos: usize) -> usize {
-        while pos > 0 {
-            let parent = (pos - 1) / ARITY;
-            if self.heap[pos].key() < self.heap[parent].key() {
-                self.heap.swap(pos, parent);
-                self.slots[self.heap[pos].slot as usize].heap_pos = pos as u32;
-                pos = parent;
-            } else {
-                break;
-            }
-        }
-        self.slots[self.heap[pos].slot as usize].heap_pos = pos as u32;
-        pos
+    /// Writes `key` at heap index `pos` and records the position in its
+    /// slot.
+    #[inline]
+    fn place(&mut self, pos: usize, key: Key) {
+        self.heap[pos] = key;
+        self.slots[key.slot as usize].heap_pos = pos as u32;
     }
 
-    /// Restores the heap invariant downward from `pos`.
-    fn sift_down(&mut self, mut pos: usize) {
+    /// Settles `key` into the hole at `pos`, moving the hole upward past
+    /// every larger ancestor.
+    fn sift_up(&mut self, mut pos: usize, key: Key) {
+        while pos > 0 {
+            let parent = (pos - 1) / ARITY;
+            let above = self.heap[parent];
+            if key.order() >= above.order() {
+                break;
+            }
+            self.place(pos, above);
+            pos = parent;
+        }
+        self.place(pos, key);
+    }
+
+    /// Settles `key` into the hole at `pos`, moving the hole downward past
+    /// every smaller child.
+    fn sift_down(&mut self, mut pos: usize, key: Key) {
         let len = self.heap.len();
         loop {
             let first = pos * ARITY + 1;
@@ -276,55 +300,53 @@ impl<E> Context<E> {
                 break;
             }
             let mut best = first;
-            let last = (first + ARITY - 1).min(len - 1);
-            for child in first + 1..=last {
-                if self.heap[child].key() < self.heap[best].key() {
+            for child in first + 1..(first + ARITY).min(len) {
+                if self.heap[child].order() < self.heap[best].order() {
                     best = child;
                 }
             }
-            if self.heap[best].key() < self.heap[pos].key() {
-                self.heap.swap(pos, best);
-                self.slots[self.heap[pos].slot as usize].heap_pos = pos as u32;
-                pos = best;
-            } else {
+            let below = self.heap[best];
+            if below.order() >= key.order() {
                 break;
             }
+            self.place(pos, below);
+            pos = best;
         }
-        self.slots[self.heap[pos].slot as usize].heap_pos = pos as u32;
+        self.place(pos, key);
     }
 
-    /// Removes and returns the node at heap index `pos`, re-heapifying the
-    /// element swapped into its place. Does not touch the removed node's
-    /// slab slot — the caller releases or inspects it.
-    fn remove_at(&mut self, pos: usize) -> Node<E> {
-        let last = self.heap.len() - 1;
-        self.heap.swap(pos, last);
-        let node = self.heap.pop().expect("heap non-empty");
-        if pos < self.heap.len() {
-            // The displaced element may belong above or below `pos`.
-            let settled = self.sift_up(pos);
-            if settled == pos {
-                self.sift_down(pos);
-            }
+    /// Removes the key at heap index `pos`, re-settling the last key into
+    /// the hole it leaves. Does not touch the removed key's slab slot —
+    /// the caller releases it.
+    fn remove_at(&mut self, pos: usize) {
+        let last = self.heap.pop().expect("heap non-empty");
+        if pos == self.heap.len() {
+            return;
         }
-        node
+        // The displaced key may belong above or below `pos`.
+        if pos > 0 && last.order() < self.heap[(pos - 1) / ARITY].order() {
+            self.sift_up(pos, last);
+        } else {
+            self.sift_down(pos, last);
+        }
     }
 
-    /// Marks `slot` vacant, invalidating all outstanding ids for it.
-    fn release_slot(&mut self, slot: u32) {
+    /// Marks `slot` vacant, invalidating all outstanding ids for it, and
+    /// returns the event it held.
+    fn release_slot(&mut self, slot: u32) -> E {
         let meta = &mut self.slots[slot as usize];
         meta.generation = meta.generation.wrapping_add(1);
         meta.heap_pos = FREE;
         self.free.push(slot);
+        self.events[slot as usize]
+            .take()
+            .expect("an occupied slot holds its event")
     }
 
     fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let node = self.remove_at(0);
-        self.release_slot(node.slot);
-        Some((node.at, node.event))
+        let &Key { at, slot, .. } = self.heap.first()?;
+        self.remove_at(0);
+        Some((at, self.release_slot(slot)))
     }
 
     // Debug cannot be derived (events in the calendar need not be Debug),
@@ -337,7 +359,7 @@ impl<E> Context<E> {
     }
 
     fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|n| n.at)
+        self.heap.first().map(|k| k.at)
     }
 }
 
@@ -805,11 +827,77 @@ mod tests {
     }
 
     #[test]
-    fn heap_matches_reference_model_under_churn() {
-        // Model-check the index-tracked heap against a sorted reference:
-        // random interleavings of schedule / cancel / step must pop events
-        // in exactly (time, insertion) order.
+    fn id_of_an_event_that_ran_does_not_cancel_slot_reuser() {
         let mut e = recorder();
+        let a = e.schedule(SimTime::from_micros(10), 1);
+        e.run();
+        // `b` reuses the slot `a` vacated when it ran.
+        let b = e.schedule(SimTime::from_micros(20), 2);
+        assert_eq!(e.context_mut().calendar_slots(), 1, "slot not reused");
+        assert!(
+            !e.context_mut().cancel(a),
+            "spent id cancelled a live event"
+        );
+        assert_eq!(e.context_mut().pending(), 1);
+        e.run();
+        assert_eq!(
+            e.world().seen,
+            vec![(SimTime::from_micros(10), 1), (SimTime::from_micros(20), 2)]
+        );
+        assert!(!e.context_mut().cancel(b), "already ran");
+    }
+
+    /// An event payload the churn model check can build and identify.
+    trait Payload: Sized {
+        fn make(v: u32) -> Self;
+        fn id(&self) -> u32;
+    }
+
+    impl Payload for u32 {
+        fn make(v: u32) -> u32 {
+            v
+        }
+        fn id(&self) -> u32 {
+            *self
+        }
+    }
+
+    /// A 64-byte payload whose every word derives from its id, so a
+    /// calendar that tore, swapped or lost a payload fails the check.
+    struct Wide([u64; 8]);
+
+    impl Payload for Wide {
+        fn make(v: u32) -> Wide {
+            Wide(std::array::from_fn(|i| (u64::from(v) << 8) | i as u64))
+        }
+        fn id(&self) -> u32 {
+            let v = (self.0[0] >> 8) as u32;
+            assert_eq!(self.0, Wide::make(v).0, "torn payload");
+            v
+        }
+    }
+
+    struct Tagged<P> {
+        seen: Vec<(SimTime, u32)>,
+        payload: std::marker::PhantomData<P>,
+    }
+
+    impl<P: Payload> World for Tagged<P> {
+        type Event = P;
+        fn handle(&mut self, ctx: &mut Context<P>, ev: P) {
+            self.seen.push((ctx.now(), ev.id()));
+        }
+    }
+
+    /// Model-checks the index-tracked heap against a sorted reference:
+    /// random interleavings of schedule / cancel / step must pop events
+    /// in exactly (time, insertion) order.
+    fn churn_matches_reference<P: Payload>() {
+        let world = Tagged::<P> {
+            seen: Vec::new(),
+            payload: std::marker::PhantomData,
+        };
+        let mut e = Engine::new(world, 1);
         let mut rng = crate::SimRng::seed_from(42);
         let mut live: Vec<(SimTime, u64, EventId, u32)> = Vec::new();
         let mut expected: Vec<(SimTime, u32)> = Vec::new();
@@ -818,7 +906,7 @@ mod tests {
             match rng.below(4) {
                 0 | 1 => {
                     let at = e.now() + SimDuration::from_micros(rng.below(500));
-                    let id = e.schedule(at, round);
+                    let id = e.schedule(at, P::make(round));
                     live.push((at, seq, id, round));
                     seq += 1;
                 }
@@ -845,6 +933,83 @@ mod tests {
         e.run();
         expected.extend(live.iter().map(|&(at, _, _, v)| (at, v)));
         assert_eq!(e.world().seen, expected);
+    }
+
+    #[test]
+    fn heap_matches_reference_model_under_churn() {
+        churn_matches_reference::<u32>();
+    }
+
+    #[test]
+    fn heap_matches_reference_model_under_churn_with_wide_payload() {
+        assert!(std::mem::size_of::<Wide>() >= 64);
+        churn_matches_reference::<Wide>();
+    }
+
+    #[test]
+    fn every_event_is_dropped_exactly_once() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        /// Owns heap memory and counts its drops per id.
+        struct Counted {
+            id: usize,
+            _heap: Vec<u8>,
+            drops: Rc<RefCell<Vec<u32>>>,
+        }
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.drops.borrow_mut()[self.id] += 1;
+            }
+        }
+        struct Sink {
+            handled: Vec<usize>,
+        }
+        impl World for Sink {
+            type Event = Counted;
+            fn handle(&mut self, _ctx: &mut Context<Counted>, ev: Counted) {
+                self.handled.push(ev.id);
+            }
+        }
+
+        const N: usize = 600;
+        let drops = Rc::new(RefCell::new(vec![0u32; N]));
+        let counted = |id: usize| Counted {
+            id,
+            _heap: vec![id as u8; 48],
+            drops: Rc::clone(&drops),
+        };
+        let mut e = Engine::new(Sink { handled: vec![] }, 5);
+        let mut rng = crate::SimRng::seed_from(9);
+        let mut cancelled = Vec::new();
+        // Two waves, so the second reuses slots the first vacated by
+        // running or by being cancelled.
+        for wave in 0..2 {
+            let base = e.now();
+            let mut ids = Vec::new();
+            for id in wave * N / 2..(wave + 1) * N / 2 {
+                let at = base + SimDuration::from_micros(rng.below(1_000));
+                ids.push((id, e.schedule(at, counted(id))));
+            }
+            for &(id, ev) in ids.iter().step_by(3) {
+                assert!(e.context_mut().cancel(ev));
+                assert_eq!(drops.borrow()[id], 1, "cancel drops the event");
+                cancelled.push(id);
+            }
+            e.run_until(base + SimDuration::from_micros(500));
+        }
+        let handled = e.world().handled.clone();
+        let pending = e.context_mut().pending();
+        assert!(!handled.is_empty() && pending > 0);
+        assert_eq!(handled.len() + cancelled.len() + pending, N);
+        let dropped = drops.borrow().iter().filter(|&&d| d == 1).count();
+        assert_eq!(dropped, handled.len() + cancelled.len());
+        assert!(drops.borrow().iter().all(|&d| d <= 1));
+        drop(e);
+        assert!(
+            drops.borrow().iter().all(|&d| d == 1),
+            "pending events are dropped with the engine"
+        );
     }
 
     #[test]
