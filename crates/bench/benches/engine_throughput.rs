@@ -1,10 +1,11 @@
 //! Criterion bench for the desim engine itself: raw event throughput,
-//! the cost of the calendar under cancellation churn, and a calendar
-//! shaped like the simulated department's — the numbers that bound how
-//! much virtual time per wall second every experiment gets.
+//! the cost of the calendar under cancellation churn, a small calendar,
+//! and calendars shaped like the simulated department's — the numbers
+//! that bound how much virtual time per wall second every experiment
+//! gets.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use desim::{Context, Engine, EventId, SimDuration, SimTime, World};
+use desim::{Context, Engine, EventId, SimDuration, SimRng, SimTime, World};
 
 struct SelfScheduler {
     remaining: u64,
@@ -112,6 +113,60 @@ fn department(events: u64) -> Engine<Department> {
     e
 }
 
+/// A fixed number of events in flight, each re-arming once when handled
+/// after a delay drawn by `delay`.
+struct Rearm {
+    remaining: u64,
+    delay: fn(&mut SimRng) -> SimDuration,
+}
+
+impl World for Rearm {
+    type Event = Payload;
+    fn handle(&mut self, ctx: &mut Context<Payload>, ev: Payload) {
+        if self.remaining == 0 {
+            return;
+        }
+        self.remaining -= 1;
+        let delay = (self.delay)(ctx.rng());
+        ctx.schedule_in(delay, ev);
+    }
+}
+
+fn rearm(events: u64, pending: u64, delay: fn(&mut SimRng) -> SimDuration) -> Engine<Rearm> {
+    let mut e = Engine::new(
+        Rearm {
+            remaining: events,
+            delay,
+        },
+        1,
+    );
+    for i in 0..pending {
+        let at = SimTime::ZERO + delay(e.context_mut().rng());
+        e.schedule(at, Payload([i; 8]));
+    }
+    e
+}
+
+/// A re-arm one to eight slots ahead.
+fn slot_delay(rng: &mut SimRng) -> SimDuration {
+    SimDuration::from_micros(625 * (1 + rng.below(8)))
+}
+
+/// The delay mix the `paper_dept` deployment schedules with: about 1%
+/// at the same instant, 35% between 128 µs and 1 ms (slot-grid
+/// follow-ups), and the rest spread log-uniformly from 1 ms to 60 s
+/// (timers, LAN, mobility).
+fn dept_delay(rng: &mut SimRng) -> SimDuration {
+    match rng.below(100) {
+        0 => SimDuration::ZERO,
+        1..=35 => SimDuration::from_micros(128 + rng.below(1_000 - 128)),
+        _ => {
+            let floor = 1_000u64 << rng.below(16);
+            SimDuration::from_micros((floor + rng.below(floor)).min(60_000_000))
+        }
+    }
+}
+
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     g.bench_function("100k_chained_events", |b| {
@@ -139,6 +194,20 @@ fn bench_engine(c: &mut Criterion) {
     g.bench_function("100k_events_department_calendar", |b| {
         b.iter_batched(
             || department(100_000),
+            |mut e| e.run(),
+            BatchSize::SmallInput,
+        )
+    });
+    g.bench_function("100k_events_8_pending", |b| {
+        b.iter_batched(
+            || rearm(100_000, 8, slot_delay),
+            |mut e| e.run(),
+            BatchSize::SmallInput,
+        )
+    });
+    g.bench_function("100k_events_700_pending_dept_delays", |b| {
+        b.iter_batched(
+            || rearm(100_000, DEPT_PENDING, dept_delay),
             |mut e| e.run(),
             BatchSize::SmallInput,
         )

@@ -14,7 +14,7 @@
 //! the time-windowed queries the paper's spatio-temporal phrasing hints
 //! at.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use bt_baseband::BdAddr;
 use desim::SimTime;
@@ -73,7 +73,11 @@ struct DeviceState {
 #[derive(Debug, Clone)]
 pub struct LocationDb {
     devices: BTreeMap<BdAddr, DeviceState>,
-    history: Vec<PresenceEvent>,
+    /// Devices present per cell, indexed by cell; cells past the end
+    /// have none.
+    present: Vec<u32>,
+    /// Ring of the most recent `history_cap` applied updates.
+    history: VecDeque<PresenceEvent>,
     history_cap: usize,
     stats: DbStats,
 }
@@ -103,7 +107,8 @@ impl LocationDb {
         assert!(cap > 0, "zero history capacity");
         LocationDb {
             devices: BTreeMap::new(),
-            history: Vec::new(),
+            present: Vec::new(),
+            history: VecDeque::new(),
             history_cap: cap,
             stats: DbStats::default(),
         }
@@ -117,6 +122,12 @@ impl LocationDb {
             if let std::collections::btree_map::Entry::Vacant(e) = dev.cells.entry(cell) {
                 e.insert(at);
                 dev.latest = Some((cell, at));
+                if self.present.len() <= cell {
+                    self.present.resize(cell + 1, 0);
+                }
+                if let Some(n) = self.present.get_mut(cell) {
+                    *n += 1;
+                }
                 true
             } else {
                 false
@@ -130,15 +141,16 @@ impl LocationDb {
                     .iter()
                     .max_by_key(|&(_, &since)| since)
                     .map(|(&c, &since)| (c, since));
+                self.leave(cell);
             }
             removed
         };
         if changed {
             self.stats.applied += 1;
             if self.history.len() == self.history_cap {
-                self.history.remove(0);
+                self.history.pop_front();
             }
-            self.history.push(PresenceEvent {
+            self.history.push_back(PresenceEvent {
                 addr,
                 cell,
                 present,
@@ -181,8 +193,15 @@ impl LocationDb {
             .collect()
     }
 
+    /// Number of devices currently present in `cell`: the length of
+    /// [`devices_in`](LocationDb::devices_in), kept up to date by every
+    /// update instead of counted on demand.
+    pub fn count_in(&self, cell: CellIndex) -> usize {
+        self.present.get(cell).map_or(0, |&n| n as usize)
+    }
+
     /// The recorded history (oldest first), for time-windowed queries.
-    pub fn history(&self) -> &[PresenceEvent] {
+    pub fn history(&self) -> &VecDeque<PresenceEvent> {
         &self.history
     }
 
@@ -202,7 +221,18 @@ impl LocationDb {
 
     /// Forgets a device entirely (logout housekeeping).
     pub fn forget(&mut self, addr: BdAddr) {
-        self.devices.remove(&addr);
+        if let Some(dev) = self.devices.remove(&addr) {
+            for &cell in dev.cells.keys() {
+                self.leave(cell);
+            }
+        }
+    }
+
+    /// Counts one device out of `cell`.
+    fn leave(&mut self, cell: CellIndex) {
+        if let Some(n) = self.present.get_mut(cell) {
+            *n -= 1;
+        }
     }
 }
 
@@ -261,6 +291,7 @@ mod tests {
         db.apply(BdAddr::new(3), 5, true, t(3));
         assert_eq!(db.devices_in(4), vec![BdAddr::new(1), BdAddr::new(2)]);
         assert_eq!(db.devices_in(5), vec![BdAddr::new(3)]);
+        assert_eq!((db.count_in(4), db.count_in(5), db.count_in(99)), (2, 1, 0));
     }
 
     #[test]
@@ -291,13 +322,27 @@ mod tests {
     }
 
     #[test]
+    fn history_ring_keeps_the_newest_in_order() {
+        let mut db = LocationDb::with_history_cap(4);
+        let d = BdAddr::new(1);
+        for i in 0..50u64 {
+            db.apply(d, 0, i % 2 == 0, t(i));
+        }
+        let kept: Vec<SimTime> = db.history().iter().map(|e| e.at).collect();
+        assert_eq!(kept, vec![t(46), t(47), t(48), t(49)]);
+        assert_eq!(db.history_of(d, t(0), t(47)).len(), 2);
+    }
+
+    #[test]
     fn forget_clears_device() {
         let mut db = LocationDb::new();
         let d = BdAddr::new(1);
         db.apply(d, 0, true, t(1));
+        db.apply(d, 2, true, t(2));
         db.forget(d);
         assert_eq!(db.current_cell(d), None);
         assert_eq!(db.cells_of(d), Vec::<CellIndex>::new());
+        assert_eq!((db.count_in(0), db.count_in(2)), (0, 0));
     }
 }
 

@@ -22,9 +22,9 @@
 
 use std::collections::HashMap;
 
-use bips_lan::network::{Lan, LanConfig, LanEvent};
+use bips_lan::network::{Datagram, Lan, LanConfig, LanEvent};
 use bips_lan::rpc::{CorrelationId, RpcCodec, RpcFrame};
-use bips_lan::transport::{Reliable, ReliableConfig, TransportEvent};
+use bips_lan::transport::{AppMessage, Reliable, ReliableConfig, TransportEvent};
 use bips_lan::HostId;
 use bips_mobility::model::{MobEvent, MobNotification, MobilityModel, WalkerId};
 use bips_mobility::walker::{WalkMode, WalkerConfig};
@@ -364,6 +364,10 @@ pub struct BipsSystem {
     /// Reused buffer the medium's notifications are drained into; empty
     /// between events.
     bb_notes: Vec<BbNotification>,
+    /// Reused buffers LAN deliveries and transport messages are drained
+    /// into; empty between events.
+    lan_deliveries: Vec<Datagram>,
+    app_inbox: Vec<AppMessage>,
     lan: Lan,
     tr: Reliable,
     mob: MobilityModel,
@@ -835,17 +839,22 @@ impl BipsSystem {
     fn on_lan(&mut self, ctx: &mut Context<SysEvent>, ev: LanEvent) {
         self.lan
             .handle(&mut MappedContext::new(ctx, SysEvent::Lan), ev);
-        for d in self.lan.drain_deliveries() {
+        let mut deliveries = std::mem::take(&mut self.lan_deliveries);
+        self.lan.drain_deliveries(&mut deliveries);
+        for d in deliveries.drain(..) {
             self.tr
                 .on_datagram(ctx, &mut self.lan, SysEvent::Lan, SysEvent::Tr, d);
         }
-        let msgs = self.tr.drain_inbox();
-        for m in msgs {
+        self.lan_deliveries = deliveries;
+        let mut msgs = std::mem::take(&mut self.app_inbox);
+        self.tr.drain_inbox(&mut msgs);
+        for m in msgs.drain(..) {
             self.on_app_message(ctx, m);
         }
+        self.app_inbox = msgs;
     }
 
-    fn on_app_message(&mut self, ctx: &mut Context<SysEvent>, m: bips_lan::transport::AppMessage) {
+    fn on_app_message(&mut self, ctx: &mut Context<SysEvent>, m: AppMessage) {
         let Some(rpc) = RpcCodec::decode_ref(&m) else {
             return;
         };
@@ -905,7 +914,7 @@ impl BipsSystem {
                     touched.sort_unstable();
                     touched.dedup();
                     for cell in touched {
-                        let n = self.server.db().devices_in(cell).len() as f64;
+                        let n = self.server.db().count_in(cell) as f64;
                         self.occupancy[cell].set(now, n);
                     }
                 }
@@ -1379,6 +1388,8 @@ impl SystemBuilder {
         let system = BipsSystem {
             bb,
             bb_notes: Vec::new(),
+            lan_deliveries: Vec::new(),
+            app_inbox: Vec::new(),
             lan,
             tr: Reliable::new(ReliableConfig::default()),
             mob,

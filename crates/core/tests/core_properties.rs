@@ -2,6 +2,7 @@
 //! totality, tracker diff correctness.
 
 use bips_core::handheld::HandheldMsg;
+use bips_core::locationdb::LocationDb;
 use bips_core::protocol::{LocateOutcome, Notice, Request};
 use bips_core::registry::{AccessRights, Registry};
 use bips_core::workstation::WorkstationTracker;
@@ -118,6 +119,27 @@ proptest! {
                     _ => prop_assert!(change.is_none(), "spurious change for {} at {}: {:?}", d, t, change),
                 }
                 reported.insert(d, model_present);
+            }
+        }
+    }
+
+    /// The per-cell count the database maintains equals a recount of
+    /// its listing after any mix of presences, absences and forgets,
+    /// with devices claimed by several overlapping cells at once.
+    #[test]
+    fn locationdb_counts_match_listing(
+        ops in proptest::collection::vec((0u64..8, 0u64..6, 0usize..6, any::<bool>()), 1..200),
+    ) {
+        let mut db = LocationDb::with_history_cap(16);
+        for (i, (kind, dev, cell, present)) in ops.into_iter().enumerate() {
+            let addr = BdAddr::new(dev);
+            if kind == 0 {
+                db.forget(addr);
+            } else {
+                db.apply(addr, cell, present, SimTime::from_secs(i as u64));
+            }
+            for c in 0..8 {
+                prop_assert_eq!(db.count_in(c), db.devices_in(c).len(), "cell {}", c);
             }
         }
     }

@@ -7,15 +7,18 @@
 //! cancels future events, and draws randomness.
 //!
 //! Determinism: events at equal times run in the order they were scheduled
-//! (FIFO tie-break by a monotone sequence number), and all randomness comes
-//! from the engine's seeded RNG, so a simulation is a pure function of the
-//! initial world, the seed, and the initial events.
+//! (a FIFO tie-break), and all randomness comes from the engine's seeded
+//! RNG, so a simulation is a pure function of the initial world, the seed,
+//! and the initial events.
 //!
-//! Layout: the calendar keeps ordering and storage apart. The heap holds
-//! 24-byte `(at, seq, slot)` keys; each pending event sits in a slab slot
-//! that does not move while the event waits. Because `(at, seq)` is a
-//! total order, the pop sequence depends only on the keys, never on the
-//! heap's internal shape.
+//! Layout: the calendar is a radix heap. It is keyed on event time and
+//! relies on the clock never running backwards. Each pending event sits
+//! in a slab slot that does not move while the event waits; the slot
+//! records the event's time and its links in one of 65 bucket lists.
+//! Scheduling and cancelling touch one list, O(1). Taking the next event
+//! pops the same-instant list or, when that is empty, splits the lowest
+//! non-empty bucket. The pop order is `(time, scheduling order)`, a total
+//! order, so it never depends on how events are spread over the buckets.
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -96,40 +99,27 @@ pub trait Observer<E> {
     }
 }
 
-/// One entry in the calendar heap: the ordering key and the slab slot
-/// holding the event. Ordered by `(at, seq)`: time order with a FIFO
-/// tie-break through the monotone sequence number. Small and `Copy`, so
-/// sifting moves 24 bytes per level whatever the event type.
+/// Link value meaning "no slot": the end of a bucket list.
+const NIL: u32 = u32::MAX;
+
+/// `bucket` value marking a vacant slab slot.
+const VACANT: u8 = u8::MAX;
+
+/// Bucket 0 holds the events at `last`; bucket `b` in 1..=64 holds those
+/// whose time first differs from `last` at bit `b - 1`.
+const BUCKETS: usize = 65;
+
+/// One slab slot: the pending event's time, its links in the list of its
+/// bucket, and a generation tag bumped every time the slot is vacated.
 #[derive(Clone, Copy)]
-struct Key {
+struct Slot {
     at: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl Key {
-    #[inline]
-    fn order(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
-}
-
-/// Per-slot slab metadata: where the slot's key currently sits in the
-/// heap, and a generation tag bumped every time the slot is vacated.
-#[derive(Clone, Copy)]
-struct SlotMeta {
     generation: u32,
-    /// Current index in the heap `Vec`, or [`FREE`] when vacant.
-    heap_pos: u32,
+    prev: u32,
+    next: u32,
+    /// The bucket whose list holds the slot, or [`VACANT`].
+    bucket: u8,
 }
-
-/// Sentinel `heap_pos` marking a vacant slab slot.
-const FREE: u32 = u32::MAX;
-
-/// Branching factor of the calendar heap. A 4-ary layout halves the tree
-/// depth of a binary heap and keeps each key's children in 96 contiguous
-/// bytes, which measurably helps the schedule/pop churn of the hot loop.
-const ARITY: usize = 4;
 
 /// The engine surface visible to event handlers: the clock, the calendar and
 /// the random stream.
@@ -139,25 +129,34 @@ const ARITY: usize = 4;
 /// or [`schedule_at`](Context::schedule_at), to [`cancel`](Context::cancel)
 /// pending events, and to draw random values via [`rng`](Context::rng).
 ///
-/// The calendar is split in two. A 4-ary min-heap orders small `Copy`
-/// keys `(at, seq, slot)`; the events themselves stay put in a slab
-/// indexed by `slot`, next to that slot's metadata. Sifting moves a hole
-/// through the heap, one key write per level, and never touches an event,
-/// so the per-operation cost does not grow with the event type.
+/// The calendar is a radix heap over event times. Scheduling and
+/// cancelling are O(1): an event is linked into, or unlinked from, the
+/// bucket `64 - lzcnt(at ^ last)`, where `last` is the time of the last
+/// minimum taken. Taking the next event pops the head of bucket 0 (the
+/// events at `last`); when that is empty, the lowest non-empty bucket's
+/// earliest time becomes `last` and its events move to lower buckets.
+/// Every event only ever moves down, so each is moved at most 64 times.
+/// The lists are threaded through the slab that holds the events, so the
+/// calendar allocates nothing beyond the slab.
 pub struct Context<E> {
     now: SimTime,
-    /// Index-tracked min-heap of pending event keys.
-    heap: Vec<Key>,
-    /// Slab of slot metadata; `heap[slots[s].heap_pos].slot == s` for every
-    /// occupied slot `s`. Grows to the high-water mark of simultaneously
-    /// pending events and is reused thereafter.
-    slots: Vec<SlotMeta>,
+    /// Time of the last minimum taken; no pending event is earlier.
+    last: SimTime,
+    /// First and last slot of each bucket's list, or [`NIL`].
+    head: [u32; BUCKETS],
+    tail: [u32; BUCKETS],
+    /// Bit `b - 1` is set exactly when bucket `b` (1..=64) is non-empty.
+    occupied: u64,
+    /// Number of pending events.
+    len: usize,
+    /// Slab of slot records. Grows to the high-water mark of
+    /// simultaneously pending events and is reused thereafter.
+    slots: Vec<Slot>,
     /// The pending events, parallel to `slots`: `Some` exactly for the
     /// occupied slots.
     events: Vec<Option<E>>,
     /// Vacant slab slots, reused LIFO.
     free: Vec<u32>,
-    next_seq: u64,
     rng: SimRng,
 }
 
@@ -165,11 +164,14 @@ impl<E> Context<E> {
     fn new(rng: SimRng) -> Self {
         Context {
             now: SimTime::ZERO,
-            heap: Vec::new(),
+            last: SimTime::ZERO,
+            head: [NIL; BUCKETS],
+            tail: [NIL; BUCKETS],
+            occupied: 0,
+            len: 0,
             slots: Vec::new(),
             events: Vec::new(),
             free: Vec::new(),
-            next_seq: 0,
             rng,
         }
     }
@@ -191,8 +193,6 @@ impl<E> Context<E> {
             "cannot schedule into the past: {at} < {}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let slot = match self.free.pop() {
             Some(s) => {
                 self.events[s as usize] = Some(event);
@@ -200,20 +200,23 @@ impl<E> Context<E> {
             }
             None => {
                 let s = self.slots.len();
-                assert!(s < FREE as usize, "calendar slot index overflow");
-                self.slots.push(SlotMeta {
+                assert!(s < NIL as usize, "calendar slot index overflow");
+                self.slots.push(Slot {
+                    at,
                     generation: 0,
-                    heap_pos: FREE,
+                    prev: NIL,
+                    next: NIL,
+                    bucket: VACANT,
                 });
                 self.events.push(Some(event));
                 s as u32
             }
         };
-        let generation = self.slots[slot as usize].generation;
-        let pos = self.heap.len();
-        let key = Key { at, seq, slot };
-        self.heap.push(key);
-        self.sift_up(pos, key);
+        let record = &mut self.slots[slot as usize];
+        record.at = at;
+        let generation = record.generation;
+        self.link(slot, self.bucket_of(at));
+        self.len += 1;
         EventId::pack(slot, generation)
     }
 
@@ -231,27 +234,25 @@ impl<E> Context<E> {
     /// Cancels a pending event. Returns `true` if the event was still
     /// pending, `false` if it already ran or was already cancelled.
     ///
-    /// Cancellation is *eager*: the key is removed from the heap in
-    /// O(log n), the event is dropped and its slab slot reclaimed
-    /// immediately, so cancelled events cost neither memory nor pop-time
-    /// tombstone skips.
+    /// Cancellation is *eager* and O(1): the event is unlinked from its
+    /// bucket, dropped, and its slab slot reclaimed immediately, so
+    /// cancelled events cost neither memory nor pop-time tombstone skips.
     pub fn cancel(&mut self, id: EventId) -> bool {
         let slot = id.slot();
         let Some(meta) = self.slots.get(slot as usize) else {
             return false;
         };
-        if meta.generation != id.generation() || meta.heap_pos == FREE {
+        if meta.generation != id.generation() || meta.bucket == VACANT {
             return false;
         }
-        let pos = meta.heap_pos as usize;
-        self.remove_at(pos);
+        self.unlink(slot);
         self.release_slot(slot);
         true
     }
 
     /// Number of pending (non-cancelled) events.
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Number of slab slots backing the calendar: the high-water mark of
@@ -267,67 +268,54 @@ impl<E> Context<E> {
         &mut self.rng
     }
 
-    /// Writes `key` at heap index `pos` and records the position in its
-    /// slot.
+    /// The bucket an event at `at` belongs in: one more than the index of
+    /// the highest bit in which `at` differs from `last`, 0 if equal.
+    /// Taking a new minimum from bucket `b` changes only bits below
+    /// `b - 1` of `last`, so events in buckets above `b` stay put.
     #[inline]
-    fn place(&mut self, pos: usize, key: Key) {
-        self.heap[pos] = key;
-        self.slots[key.slot as usize].heap_pos = pos as u32;
+    fn bucket_of(&self, at: SimTime) -> u8 {
+        (u64::BITS - (at.units() ^ self.last.units()).leading_zeros()) as u8
     }
 
-    /// Settles `key` into the hole at `pos`, moving the hole upward past
-    /// every larger ancestor.
-    fn sift_up(&mut self, mut pos: usize, key: Key) {
-        while pos > 0 {
-            let parent = (pos - 1) / ARITY;
-            let above = self.heap[parent];
-            if key.order() >= above.order() {
-                break;
-            }
-            self.place(pos, above);
-            pos = parent;
-        }
-        self.place(pos, key);
-    }
-
-    /// Settles `key` into the hole at `pos`, moving the hole downward past
-    /// every smaller child.
-    fn sift_down(&mut self, mut pos: usize, key: Key) {
-        let len = self.heap.len();
-        loop {
-            let first = pos * ARITY + 1;
-            if first >= len {
-                break;
-            }
-            let mut best = first;
-            for child in first + 1..(first + ARITY).min(len) {
-                if self.heap[child].order() < self.heap[best].order() {
-                    best = child;
+    /// Appends `slot` to the list of `bucket`. Appending keeps every list
+    /// in scheduling order (see [`Context::pop_through`]).
+    #[inline]
+    fn link(&mut self, slot: u32, bucket: u8) {
+        let b = bucket as usize;
+        let tail = std::mem::replace(&mut self.tail[b], slot);
+        let s = &mut self.slots[slot as usize];
+        s.bucket = bucket;
+        s.prev = tail;
+        s.next = NIL;
+        match self.slots.get_mut(tail as usize) {
+            Some(t) => t.next = slot,
+            None => {
+                self.head[b] = slot;
+                if b > 0 {
+                    self.occupied |= 1 << (b - 1);
                 }
             }
-            let below = self.heap[best];
-            if below.order() >= key.order() {
-                break;
-            }
-            self.place(pos, below);
-            pos = best;
         }
-        self.place(pos, key);
     }
 
-    /// Removes the key at heap index `pos`, re-settling the last key into
-    /// the hole it leaves. Does not touch the removed key's slab slot —
-    /// the caller releases it.
-    fn remove_at(&mut self, pos: usize) {
-        let last = self.heap.pop().expect("heap non-empty");
-        if pos == self.heap.len() {
-            return;
+    /// Removes `slot` from its bucket's list. Does not touch the slot's
+    /// event or generation — the caller releases it.
+    #[inline]
+    fn unlink(&mut self, slot: u32) {
+        let Slot {
+            prev, next, bucket, ..
+        } = self.slots[slot as usize];
+        let b = bucket as usize;
+        match self.slots.get_mut(prev as usize) {
+            Some(p) => p.next = next,
+            None => self.head[b] = next,
         }
-        // The displaced key may belong above or below `pos`.
-        if pos > 0 && last.order() < self.heap[(pos - 1) / ARITY].order() {
-            self.sift_up(pos, last);
-        } else {
-            self.sift_down(pos, last);
+        match self.slots.get_mut(next as usize) {
+            Some(n) => n.prev = prev,
+            None => self.tail[b] = prev,
+        }
+        if prev == NIL && next == NIL && b > 0 {
+            self.occupied &= !(1 << (b - 1));
         }
     }
 
@@ -336,17 +324,71 @@ impl<E> Context<E> {
     fn release_slot(&mut self, slot: u32) -> E {
         let meta = &mut self.slots[slot as usize];
         meta.generation = meta.generation.wrapping_add(1);
-        meta.heap_pos = FREE;
+        meta.bucket = VACANT;
         self.free.push(slot);
+        self.len -= 1;
         self.events[slot as usize]
             .take()
             .expect("an occupied slot holds its event")
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        let &Key { at, slot, .. } = self.heap.first()?;
-        self.remove_at(0);
-        Some((at, self.release_slot(slot)))
+    /// Takes the earliest pending event if it is due at or before `limit`.
+    ///
+    /// Events at equal times come out in scheduling order with no
+    /// sequence number stored: every bucket list is in scheduling order.
+    /// A schedule appends the newest event to a tail, and a
+    /// redistribution walks one list in order into lower buckets that are
+    /// all empty, so no list is ever out of order.
+    ///
+    /// When the earliest event is after `limit`, nothing moves and `last`
+    /// stays put, so the caller may still schedule into `(limit, earliest)`.
+    #[inline]
+    fn pop_through(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        if self.head[0] != NIL {
+            if self.last > limit {
+                return None;
+            }
+            let slot = self.head[0];
+            self.unlink(slot);
+            return Some((self.last, self.release_slot(slot)));
+        }
+        if self.occupied == 0 {
+            return None;
+        }
+        let b = self.occupied.trailing_zeros() as usize + 1;
+        let head = self.head[b];
+        let first = self.slots[head as usize];
+        let mut min = first.at;
+        let mut i = first.next;
+        while let Some(s) = self.slots.get(i as usize) {
+            min = min.min(s.at);
+            i = s.next;
+        }
+        if min > limit {
+            return None;
+        }
+        self.last = min;
+        self.head[b] = NIL;
+        self.tail[b] = NIL;
+        self.occupied &= !(1 << (b - 1));
+        if first.next == NIL {
+            // A lone event skips the split loop: with few events pending
+            // this is the common pop.
+            return Some((min, self.release_slot(head)));
+        }
+        // The first event at `min` is taken; the rest move down, those at
+        // `min` into bucket 0 behind it.
+        let mut taken = NIL;
+        let mut i = head;
+        while let Some(&s) = self.slots.get(i as usize) {
+            if taken == NIL && s.at == min {
+                taken = i;
+            } else {
+                self.link(i, self.bucket_of(s.at));
+            }
+            i = s.next;
+        }
+        Some((min, self.release_slot(taken)))
     }
 
     // Debug cannot be derived (events in the calendar need not be Debug),
@@ -354,12 +396,8 @@ impl<E> Context<E> {
     fn debug_summary(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Context")
             .field("now", &self.now)
-            .field("pending", &self.heap.len())
+            .field("pending", &self.len)
             .finish_non_exhaustive()
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|k| k.at)
     }
 }
 
@@ -483,21 +521,27 @@ impl<W: World> Engine<W> {
     /// Executes a single event if one is pending. Returns `false` when the
     /// calendar is empty.
     pub fn step(&mut self) -> bool {
-        match self.ctx.pop() {
+        match self.ctx.pop_through(SimTime::MAX) {
             Some((at, event)) => {
-                debug_assert!(at >= self.ctx.now);
-                self.ctx.now = at;
-                if let Some(obs) = self.observer.as_deref_mut() {
-                    obs.on_event_dispatched(at, &event);
-                }
-                self.world.handle(&mut self.ctx, event);
-                self.steps += 1;
-                if let Some(obs) = self.observer.as_deref_mut() {
-                    obs.on_event_handled(at, self.ctx.pending(), self.steps);
-                }
+                self.dispatch(at, event);
                 true
             }
             None => false,
+        }
+    }
+
+    /// Advances the clock to `at` and hands `event` to the world.
+    #[inline]
+    fn dispatch(&mut self, at: SimTime, event: W::Event) {
+        debug_assert!(at >= self.ctx.now);
+        self.ctx.now = at;
+        if let Some(obs) = self.observer.as_deref_mut() {
+            obs.on_event_dispatched(at, &event);
+        }
+        self.world.handle(&mut self.ctx, event);
+        self.steps += 1;
+        if let Some(obs) = self.observer.as_deref_mut() {
+            obs.on_event_handled(at, self.ctx.pending(), self.steps);
         }
     }
 
@@ -516,11 +560,11 @@ impl<W: World> Engine<W> {
     /// repeated calls with increasing deadlines partition the timeline.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let before = self.steps;
-        while let Some(t) = self.ctx.peek_time() {
-            if t >= deadline {
-                break;
+        if deadline > SimTime::ZERO {
+            let last_due = deadline - SimDuration::from_units_0125us(1);
+            while let Some((at, event)) = self.ctx.pop_through(last_due) {
+                self.dispatch(at, event);
             }
-            self.step();
         }
         if self.ctx.now < deadline {
             self.ctx.now = deadline;
@@ -889,7 +933,7 @@ mod tests {
         }
     }
 
-    /// Model-checks the index-tracked heap against a sorted reference:
+    /// Model-checks the calendar against a sorted reference:
     /// random interleavings of schedule / cancel / step must pop events
     /// in exactly (time, insertion) order.
     fn churn_matches_reference<P: Payload>() {
@@ -1010,6 +1054,128 @@ mod tests {
             drops.borrow().iter().all(|&d| d == 1),
             "pending events are dropped with the engine"
         );
+    }
+
+    /// A delay spread log-uniformly over 0..2^40 units (0 to ~38 hours),
+    /// zero one time in twenty, so events land in every bucket from the
+    /// same-instant list up.
+    fn spread_delay(rng: &mut crate::SimRng) -> SimDuration {
+        if rng.below(20) == 0 {
+            return SimDuration::ZERO;
+        }
+        let bits = rng.below(41);
+        SimDuration::from_units_0125us(rng.below(1 << bits))
+    }
+
+    /// Model-checks the calendar against a sorted reference under
+    /// schedule / cancel / step / `run_until` churn with delays across
+    /// the whole radix range, and checks the slab never outgrows the
+    /// high-water mark of pending events.
+    #[test]
+    fn radix_calendar_matches_reference_model_with_spread_delays() {
+        let mut e = recorder();
+        let mut rng = crate::SimRng::seed_from(0xCA1E);
+        let mut live: Vec<(SimTime, u64, EventId, u32)> = Vec::new();
+        let mut expected: Vec<(SimTime, u32)> = Vec::new();
+        let mut high_water = 0;
+        for round in 0..20_000u32 {
+            match rng.below(20) {
+                0..=9 => {
+                    let at = e.now() + spread_delay(&mut rng);
+                    let id = e.schedule(at, round);
+                    live.push((at, u64::from(round), id, round));
+                }
+                10..=13 => {
+                    if !live.is_empty() {
+                        let k = rng.below(live.len() as u64) as usize;
+                        let (_, _, id, _) = live.swap_remove(k);
+                        assert!(e.context_mut().cancel(id));
+                        assert!(!e.context_mut().cancel(id));
+                    }
+                }
+                14..=18 => {
+                    live.sort_by_key(|&(at, s, _, _)| (at, s));
+                    assert_eq!(e.step(), !live.is_empty());
+                    if !live.is_empty() {
+                        let (at, _, _, v) = live.remove(0);
+                        expected.push((at, v));
+                    }
+                }
+                _ => {
+                    let deadline = e.now() + spread_delay(&mut rng);
+                    live.sort_by_key(|&(at, s, _, _)| (at, s));
+                    let due = live.iter().take_while(|&&(at, ..)| at < deadline).count();
+                    expected.extend(live.drain(..due).map(|(at, _, _, v)| (at, v)));
+                    assert_eq!(e.run_until(deadline), due as u64);
+                    assert_eq!(e.now(), deadline);
+                }
+            }
+            high_water = high_water.max(live.len());
+            assert_eq!(e.context_mut().pending(), live.len());
+            assert_eq!(e.context_mut().calendar_slots(), high_water);
+        }
+        live.sort_by_key(|&(at, s, _, _)| (at, s));
+        e.run();
+        expected.extend(live.iter().map(|&(at, _, _, v)| (at, v)));
+        assert_eq!(e.world().seen, expected);
+    }
+
+    #[test]
+    fn cancels_hit_the_same_instant_list_and_higher_buckets() {
+        let mut e = recorder();
+        let t = SimTime::from_micros(100);
+        e.schedule(t, 0);
+        let same: Vec<EventId> = (1..=4).map(|v| e.schedule(t, v)).collect();
+        let later = e.schedule(t + SimDuration::from_micros(1), 5);
+        let far = e.schedule(t + SimDuration::from_secs(60), 6);
+        let farther = e.schedule(t + SimDuration::from_secs(3_600), 7);
+        assert!(e.step());
+        // Taking the first event at `t` moved its peers into bucket 0.
+        let bucket = |e: &Engine<Recorder>, id: EventId| e.ctx.slots[id.slot() as usize].bucket;
+        assert!(same.iter().all(|&id| bucket(&e, id) == 0));
+        assert!([later, far, farther].iter().all(|&id| bucket(&e, id) > 0));
+        // Head, middle and tail of the same-instant list.
+        assert!(e.context_mut().cancel(same[0]));
+        assert!(e.context_mut().cancel(same[2]));
+        assert!(e.context_mut().cancel(same[3]));
+        // A higher bucket, emptied, and then refilled by a new schedule.
+        assert!(e.context_mut().cancel(far));
+        let again = e.schedule(t + SimDuration::from_secs(60), 8);
+        assert!(e.context_mut().cancel(farther));
+        e.schedule(t, 9);
+        e.run();
+        let order: Vec<u32> = e.world().seen.iter().map(|&(_, v)| v).collect();
+        assert_eq!(order, vec![0, 2, 9, 5, 8]);
+        assert!(!e.context_mut().cancel(again), "already ran");
+    }
+
+    #[test]
+    fn run_until_short_of_the_next_event_leaves_the_gap_open() {
+        let mut e = recorder();
+        e.schedule(SimTime::from_micros(100), 1);
+        e.schedule(SimTime::from_micros(1_000), 2);
+        assert_eq!(e.run_until(SimTime::from_micros(40)), 0);
+        // The gap between the deadline and the next event still takes
+        // schedules, including at the deadline itself and ties after it.
+        e.schedule(SimTime::from_micros(60), 3);
+        e.schedule(SimTime::from_micros(40), 4);
+        e.schedule(SimTime::from_micros(100), 5);
+        e.schedule(SimTime::from_micros(41), 6);
+        assert_eq!(e.run_until(SimTime::from_micros(100)), 3);
+        e.schedule(SimTime::from_micros(100), 7);
+        e.run();
+        let order: Vec<u32> = e.world().seen.iter().map(|&(_, v)| v).collect();
+        assert_eq!(order, vec![4, 6, 3, 1, 5, 7, 2]);
+    }
+
+    #[test]
+    fn an_event_at_the_end_of_time_still_runs() {
+        let mut e = recorder();
+        e.schedule(SimTime::MAX, 1);
+        e.schedule(SimTime::ZERO, 0);
+        assert_eq!(e.run_until(SimTime::MAX), 1);
+        assert_eq!(e.run(), 1);
+        assert_eq!(e.now(), SimTime::MAX);
     }
 
     #[test]

@@ -84,6 +84,11 @@ impl SimTime {
         self.0 as f64 / (1e6 * UNITS_PER_US as f64)
     }
 
+    /// The raw count of 0.125 µs units since the epoch.
+    pub(crate) const fn units(self) -> u64 {
+        self.0
+    }
+
     /// Duration since the epoch.
     pub const fn elapsed(self) -> SimDuration {
         SimDuration(self.0)

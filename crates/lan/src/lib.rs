@@ -26,7 +26,9 @@
 //!     type Event = LanEvent;
 //!     fn handle(&mut self, ctx: &mut Context<LanEvent>, ev: LanEvent) {
 //!         self.lan.handle(ctx, ev);
-//!         for d in self.lan.drain_deliveries() {
+//!         let mut delivered = Vec::new();
+//!         self.lan.drain_deliveries(&mut delivered);
+//!         for d in delivered {
 //!             self.got.push(d.payload);
 //!         }
 //!     }

@@ -290,9 +290,10 @@ impl Reliable {
         self.transmit(s, lan, &wrap_lan, &wrap_tr, src, dst);
     }
 
-    /// Drains in-order application messages.
-    pub fn drain_inbox(&mut self) -> Vec<AppMessage> {
-        std::mem::take(&mut self.inbox)
+    /// Moves in-order application messages, oldest first, onto the end
+    /// of `out` (reuse `out` to keep draining allocation-free).
+    pub fn drain_inbox(&mut self, out: &mut Vec<AppMessage>) {
+        out.append(&mut self.inbox);
     }
 
     /// Drains flows that gave up after `max_attempts` (for alarms).
@@ -413,7 +414,9 @@ mod tests {
             match ev {
                 Ev::Lan(le) => {
                     self.lan.handle(&mut Wrap(ctx), le);
-                    for d in self.lan.drain_deliveries() {
+                    let mut delivered = Vec::new();
+                    self.lan.drain_deliveries(&mut delivered);
+                    for d in delivered {
                         if d.payload.len() >= HEADER_LEN && d.payload[0] == KIND_ACK {
                             let seq =
                                 u64::from_le_bytes(d.payload[1..9].try_into().expect("header"));
@@ -426,7 +429,7 @@ mod tests {
                 Ev::Send(a, b, p) => self.tr.send(ctx, &mut self.lan, Ev::Lan, Ev::Tr, a, b, p),
                 Ev::SetLoss(l) => self.lan.set_loss(l),
             }
-            self.got.extend(self.tr.drain_inbox());
+            self.tr.drain_inbox(&mut self.got);
         }
     }
 

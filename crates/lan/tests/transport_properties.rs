@@ -41,7 +41,9 @@ impl World for Stack {
         match ev {
             Ev::Lan(le) => {
                 self.lan.handle(&mut Wrap(ctx), le);
-                for d in self.lan.drain_deliveries() {
+                let mut delivered = Vec::new();
+                self.lan.drain_deliveries(&mut delivered);
+                for d in delivered {
                     self.tr.on_datagram(ctx, &mut self.lan, Ev::Lan, Ev::Tr, d);
                 }
             }
@@ -56,7 +58,7 @@ impl World for Stack {
                 p,
             ),
         }
-        self.got.extend(self.tr.drain_inbox());
+        self.tr.drain_inbox(&mut self.got);
     }
 }
 
