@@ -28,11 +28,18 @@
 //! * **Scan windows are lazy.** A window boundary is not a calendar
 //!   event. Each slave advances its own [`WindowSchedule`] in time order
 //!   whenever the medium reads or mutates that slave (an ID it might
-//!   hear, a backoff ending, a page ID), applying the boundaries it
-//!   slept through. A window that opens exactly at an `InqTx` instant
-//!   counts as open for that transmission only if the naive chain would
-//!   have armed the window first (`tie_deaf`); for every
-//!   other reader it counts as open.
+//!   hear, a prediction, a page ID), applying the boundaries it slept
+//!   through. A window that opens exactly at an `InqTx` instant counts
+//!   as open for that transmission only if the naive chain would have
+//!   armed the window first (`tie_deaf`); for every other reader it
+//!   counts as open.
+//! * **Backoff ends are lazy.** A slave whose response backoff has run
+//!   out is settled by its next reader, which applies what the old
+//!   `BackoffEnd` event did (`SlaveDev::settle_backoff`). A reader at
+//!   exactly the end instant needs the calendar order the event had:
+//!   the medium stamps every `InqTx` it schedules and every backoff it
+//!   arms from one counter, and an `InqTx` sees the backoff as ended iff
+//!   the backoff's stamp is the smaller one.
 //! * **Inquiry chains skip ahead.** With [`MediumConfig::skip_ahead`]
 //!   each inquiring master schedules its next `InqTx` only at the
 //!   earliest slot pair some in-range scanning slave could hear, and
@@ -43,17 +50,15 @@
 //!   heard ID, a stop, a re-armed chain, an activity toggle, a link up
 //!   or down) or the master enters a new phase. Re-aiming a chain
 //!   re-solves only stale entries.
-//! * **One walk per transmission.** An `InqTx` walks its master's
-//!   coverage once, listing the slaves not proven deaf to the pair and
-//!   the earliest valid prediction of the rest. The deferral check, both
-//!   half-slots and the re-aim read only that list
+//! * **Due slaves only.** Each master keeps its valid predictions in a
+//!   min-heap and marks in an "unsettled" row the slaves whose prediction
+//!   may be missing or stale. An `InqTx` lists the due heap entries and
+//!   the unsettled covered slaves, never the whole coverage; the
+//!   deferral check, both half-slots and the re-aim read only that list
 //!   (`collect_listeners` says why it stays exact).
-//!
-//! Backoff ends stay calendar events: they are rare, and their order
-//! against same-instant transmissions of other masters is what the
-//! naive chain defines.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use desim::compose::SubScheduler;
 use desim::{EventId, SimDuration, SimRng, SimTime};
@@ -129,17 +134,16 @@ enum Ev {
     Start,
     /// Master even-slot inquiry transmission. `deferred` marks a
     /// skip-ahead transmission that already requeued itself behind the
-    /// other events of its instant (see `should_defer`).
+    /// other events of its instant (see `should_defer`). `stamp` is its
+    /// place in the medium's arm order (see `SlaveDev::settle_backoff`).
     InqTx {
         master: usize,
         epoch: u32,
         deferred: bool,
+        stamp: u64,
     },
     /// Master duty-cycle boundary.
     PhaseBoundary { master: usize, epoch: u32 },
-    /// Slave response backoff finished; stale once the slave's
-    /// `version` moves on.
-    BackoffEnd { slave: usize, version: u32 },
     /// All FHS responses aimed at `master` for the instant keyed `key`.
     FhsRx { master: usize, key: u64 },
     /// An in-flight page attempt reaches a decision instant (analytic
@@ -358,11 +362,18 @@ struct MasterDev {
     /// The current inquiry phase's first slot pair; later pairs were
     /// naively scheduled one `SLOT_PAIR` before they fire.
     first_pair: SimTime,
+    /// Where the current phase ends (`MAX` for an always-inquiry
+    /// master): the boundary `enter_phase` armed.
+    phase_end: SimTime,
     /// Skip-ahead bookkeeping; `Some` exactly while the master is inside
     /// an inquiry phase with the skip-ahead scheduler enabled.
     skip: Option<SkipChain>,
     /// Cached audibility predictions, indexed by slave.
     predictions: Vec<Prediction>,
+    /// `(predicted pair, slave)` for every prediction written this phase
+    /// before `phase_end`, earliest first. Entries whose prediction was
+    /// since rewritten or invalidated are dropped when they surface.
+    due: BinaryHeap<Reverse<(SimTime, usize)>>,
     /// Scratch for one `InqTx` or wake: the in-range slaves that may hear
     /// this master's pair at the instant it was built, ascending (see
     /// `Baseband::collect_listeners`).
@@ -423,7 +434,7 @@ struct SlaveDev {
     /// Bumped whenever the slave's listening changes other than by its
     /// own window schedule: a heard ID, a stop, a re-armed chain, an
     /// activity toggle, a link up or down. Invalidates cached
-    /// predictions and pending `BackoffEnd` events.
+    /// predictions. Only [`Baseband::bump_slave`] moves it.
     version: u32,
     active: bool,
     halt_when_discovered: bool,
@@ -442,9 +453,11 @@ struct SlaveDev {
     /// its first window open. Every later window was armed one scan
     /// interval before it opens, when its predecessor opened.
     window_armed_at: SimTime,
-    /// When the pending `BackoffEnd` was scheduled (same-instant
-    /// ordering proxy, compared against the naive `InqTx` arm instant).
+    /// When the current backoff was armed (same-instant ordering proxy,
+    /// compared against the naive `InqTx` arm instant).
     backoff_armed_at: SimTime,
+    /// The current backoff's place in the medium's arm order.
+    backoff_stamp: u64,
 }
 
 impl SlaveDev {
@@ -462,7 +475,8 @@ impl SlaveDev {
     /// Only the latest due window matters: each earlier one opened and
     /// closed before it, and a backoff that ignored an earlier open
     /// ignores the later one too unless it ended by then — in which case
-    /// its `BackoffEnd` already advanced the slave to that instant.
+    /// [`settle_backoff`](SlaveDev::settle_backoff), which runs before
+    /// every advance, already advanced the slave to that instant.
     fn advance_windows(&mut self, now: SimTime) {
         if !self.scanning {
             return;
@@ -483,16 +497,46 @@ impl SlaveDev {
         self.machine.close_window(now);
     }
 
-    /// Starts a listening change the scan schedule did not plan.
-    fn bump(&mut self) {
-        self.version = self.version.wrapping_add(1);
+    /// Ends a backoff that has run out by `now` for a reader whose arm
+    /// stamp is `reader`, with the effect its end event had: the windows
+    /// that opened during the backoff are consumed, then the slave enters
+    /// the open-ended post-backoff listen (spec: it returns to the
+    /// inquiry scan substate; the next *regular* window boundary
+    /// re-asserts the scheduled kind, so a periodic scanner reverts to
+    /// its timetable at most one interval later).
+    ///
+    /// A backoff ending before `now` has ended for every reader. One
+    /// ending exactly at `now` has ended for an `InqTx` iff it was armed
+    /// before that `InqTx` was scheduled (`backoff_stamp < reader`):
+    /// stamps follow scheduling order, which is the order the calendar
+    /// ran the end event and the `InqTx` in. Every other reader passes
+    /// `reader = 0` and sees the backoff still running. That reader is a
+    /// page ID, a stop, a re-arm or a prediction, and each sees the same
+    /// as after the end:
+    ///
+    /// * a page ID hears only a page window, and a window opening at
+    ///   `now` overrides a backoff ending at `now` either way;
+    /// * a stop or a re-arm (which follows a stop) resets the machine;
+    /// * a prediction starts at `from ≥ now`, and `next_receptive_after`
+    ///   returns `max(from, until) = from` for the running backoff as for
+    ///   the post-backoff listen — except when a page window opens
+    ///   exactly at `now`, where the running backoff's answer is earlier
+    ///   and so still conservative (an `InqTx` that finds the slave deaf
+    ///   is a harmless false alarm).
+    fn settle_backoff(&mut self, now: SimTime, reader: u64) {
+        if let ScanPhase::Backoff { until } = self.machine.phase() {
+            if until < now || (until == now && self.backoff_stamp < reader) {
+                self.advance_windows(until);
+                self.machine.end_backoff(until, SimTime::MAX);
+            }
+        }
     }
 
-    /// Kills the window chain: the slave stops scanning until re-armed.
-    fn stop_scanning(&mut self) {
-        self.bump();
-        self.machine.stop();
-        self.scanning = false;
+    /// Whether the slave could listen for inquiry at all: active,
+    /// unconnected and with a live window chain.
+    #[inline]
+    fn eligible(&self) -> bool {
+        self.active && self.connected_to.is_none() && self.scanning
     }
 }
 
@@ -562,6 +606,26 @@ impl PairSet {
             .unwrap_or(&[])
     }
 
+    #[inline]
+    fn row_mut(&mut self, m: usize) -> &mut [u64] {
+        self.words
+            .get_mut(m * self.stride..(m + 1) * self.stride)
+            .unwrap_or(&mut [])
+    }
+
+    /// Makes `m`'s row hold exactly the pairs `(m, 0..n)`.
+    fn fill_row(&mut self, m: usize, n: usize) {
+        if n == 0 {
+            self.row_mut(m).fill(0);
+            return;
+        }
+        self.insert(m, n - 1); // lays the row out wide enough
+        for (w, word) in self.row_mut(m).iter_mut().enumerate() {
+            let below = n.saturating_sub(w * 64);
+            *word = if below >= 64 { !0 } else { (1u64 << below) - 1 };
+        }
+    }
+
     fn clear_all(&mut self) {
         self.words.fill(0);
     }
@@ -622,7 +686,20 @@ pub struct Baseband {
     cfg: MediumConfig,
     masters: Vec<MasterDev>,
     slaves: Vec<SlaveDev>,
+    /// Coverage by master: master `m`'s row holds the slaves it covers.
     in_range: PairSet,
+    /// The same coverage transposed: slave `sl`'s row holds the masters
+    /// covering it.
+    covering: PairSet,
+    /// Per master, the slaves whose prediction for it may be missing or
+    /// stale (see `collect_listeners`).
+    unsettled: PairSet,
+    /// The last stamp handed out: every `InqTx` the medium schedules and
+    /// every backoff it arms takes the next one.
+    stamps: u64,
+    /// The stamp of the `InqTx` being handled; 0 outside `InqTx`
+    /// handlers (see `SlaveDev::settle_backoff`).
+    reader: u64,
     fhs_buckets: FhsBuckets,
     discoveries: Vec<Discovery>,
     discovered: PairSet,
@@ -665,6 +742,10 @@ impl Baseband {
             masters: Vec::new(),
             slaves: Vec::new(),
             in_range: PairSet::default(),
+            covering: PairSet::default(),
+            unsettled: PairSet::default(),
+            stamps: 0,
+            reader: 0,
             fhs_buckets: FhsBuckets::default(),
             discoveries: Vec::new(),
             discovered: PairSet::default(),
@@ -706,8 +787,10 @@ impl Baseband {
             page_queue: VecDeque::new(),
             entered_at: SimTime::ZERO,
             first_pair: SimTime::ZERO,
+            phase_end: SimTime::ZERO,
             skip: None,
             predictions: Vec::new(),
+            due: BinaryHeap::new(),
             listeners: Vec::new(),
         });
         MasterId(id)
@@ -747,6 +830,7 @@ impl Baseband {
             first_window_start: SimTime::MAX,
             window_armed_at: SimTime::ZERO,
             backoff_armed_at: SimTime::ZERO,
+            backoff_stamp: 0,
         });
         SlaveId(id)
     }
@@ -816,15 +900,14 @@ impl Baseband {
         in_range: bool,
     ) {
         let key = (master.0, slave.0);
+        self.set_coverage(master.0, slave.0, in_range);
         if in_range {
-            self.in_range.insert(master.0, slave.0);
             if let Some(link) = self.links.get_mut(&key) {
                 link.mark_in_range();
             }
             // A new audible slave may precede the chain's current aim.
             self.wake_master(s, master.0);
         } else {
-            self.in_range.remove(master.0, slave.0);
             if let Some(link) = self.links.get_mut(&key) {
                 link.mark_out_of_range(s.now());
                 s.schedule(
@@ -841,6 +924,20 @@ impl Baseband {
     /// True if `slave` is in `master`'s coverage.
     pub fn is_in_range(&self, master: MasterId, slave: SlaveId) -> bool {
         self.in_range.contains(master.0, slave.0)
+    }
+
+    /// Updates both coverage sets. A slave entering coverage is
+    /// unsettled at that master: whatever prediction it holds there was
+    /// not kept in the master's due queue while it was away.
+    fn set_coverage(&mut self, m: usize, sl: usize, in_range: bool) {
+        if in_range {
+            self.in_range.insert(m, sl);
+            self.covering.insert(sl, m);
+            self.unsettled.insert(m, sl);
+        } else {
+            self.in_range.remove(m, sl);
+            self.covering.remove(sl, m);
+        }
     }
 
     /// Switches a slave's radio on or off. Deactivating drops any link
@@ -863,9 +960,8 @@ impl Baseband {
             if let Some(m) = self.slaves[slave.0].connected_to {
                 self.tear_down_link(s.now(), m.0, slave.0);
             }
-            let dev = &mut self.slaves[slave.0];
-            dev.active = false;
-            dev.stop_scanning();
+            self.slaves[slave.0].active = false;
+            self.stop_scanning(slave.0);
         }
     }
 
@@ -1042,13 +1138,17 @@ impl Baseband {
                 master,
                 epoch,
                 deferred,
-            } => self.on_inq_tx(s, master, epoch, deferred),
+                stamp,
+            } => {
+                self.reader = stamp;
+                self.on_inq_tx(s, master, epoch, deferred);
+                self.reader = 0;
+            }
             Ev::PhaseBoundary { master, epoch } => {
                 if self.masters[master].epoch == epoch {
                     self.enter_phase(s, master);
                 }
             }
-            Ev::BackoffEnd { slave, version } => self.on_backoff_end(s, slave, version),
             Ev::FhsRx { master, key } => self.on_fhs_rx(s, master, key),
             Ev::PageResolve {
                 master,
@@ -1112,9 +1212,15 @@ impl Baseband {
                 s.cancel(ev);
             }
         }
-        self.masters[m].epoch += 1;
-        let epoch = self.masters[m].epoch;
-        let phase = self.masters[m].plan.phase_at(now);
+        let boundary = self.masters[m].plan.next_boundary(now);
+        let dev = &mut self.masters[m];
+        dev.epoch += 1;
+        dev.phase_end = boundary.map_or(SimTime::MAX, |(at, _)| at);
+        // The new epoch invalidates every prediction of `m`.
+        dev.due.clear();
+        self.unsettled.fill_row(m, self.slaves.len());
+        let epoch = dev.epoch;
+        let phase = dev.plan.phase_at(now);
         match phase {
             Phase::Inquiry => {
                 // Each inquiry phase picks its train from the free-running
@@ -1139,14 +1245,7 @@ impl Baseband {
                 // now and `first_tx` re-aim to the same instant and must
                 // not replace this event). The solver takes over once it
                 // fires.
-                let id = s.schedule(
-                    first_tx,
-                    BbEvent(Ev::InqTx {
-                        master: m,
-                        epoch,
-                        deferred: false,
-                    }),
-                );
+                let id = self.schedule_inq_tx(s, first_tx, m, false);
                 if self.cfg.skip_ahead {
                     self.masters[m].skip = Some(SkipChain {
                         from: first_tx,
@@ -1159,9 +1258,30 @@ impl Baseband {
                 self.maybe_start_page(s, m);
             }
         }
-        if let Some((at, _next)) = self.masters[m].plan.next_boundary(now) {
+        if let Some((at, _next)) = boundary {
             s.schedule(at, BbEvent(Ev::PhaseBoundary { master: m, epoch }));
         }
+    }
+
+    /// Schedules master `m`'s `InqTx` at `at` for its current epoch,
+    /// stamped with the next place in the arm order.
+    fn schedule_inq_tx<S: SubScheduler<BbEvent>>(
+        &mut self,
+        s: &mut S,
+        at: SimTime,
+        m: usize,
+        deferred: bool,
+    ) -> EventId {
+        self.stamps += 1;
+        s.schedule(
+            at,
+            BbEvent(Ev::InqTx {
+                master: m,
+                epoch: self.masters[m].epoch,
+                deferred,
+                stamp: self.stamps,
+            }),
+        )
     }
 
     fn on_inq_tx<S: SubScheduler<BbEvent>>(
@@ -1175,11 +1295,13 @@ impl Baseband {
             return;
         }
         let now = s.now();
-        if self.masters[m].plan.phase_at(now) != Phase::Inquiry {
+        // The epoch matches, so this is the inquiry phase `enter_phase`
+        // entered; an `InqTx` at its end ran before the boundary event.
+        if now >= self.masters[m].phase_end {
             return; // phase boundary will restart the chain
         }
-        // The one walk over `m`'s coverage for this transmission: the
-        // deferral check, both half-slots and the re-aim read its list.
+        // The one listing of `m`'s listeners for this transmission: the
+        // deferral check, both half-slots and the re-aim read it.
         let future = self.collect_listeners(m, now);
         if self.cfg.skip_ahead {
             // This is the chain's own event; its id is spent.
@@ -1188,14 +1310,7 @@ impl Baseband {
                 chain.aimed_at = SimTime::MAX;
             }
             if self.should_defer(m, now, deferred) {
-                let id = s.schedule(
-                    now,
-                    BbEvent(Ev::InqTx {
-                        master: m,
-                        epoch,
-                        deferred: true,
-                    }),
-                );
+                let id = self.schedule_inq_tx(s, now, m, true);
                 if let Some(chain) = self.masters[m].skip.as_mut() {
                     chain.event = Some(id);
                     chain.aimed_at = now;
@@ -1216,14 +1331,7 @@ impl Baseband {
             }
             self.rearm_inquiry(s, m, future);
         } else {
-            s.schedule(
-                now + SLOT_PAIR,
-                BbEvent(Ev::InqTx {
-                    master: m,
-                    epoch,
-                    deferred: false,
-                }),
-            );
+            self.schedule_inq_tx(s, now + SLOT_PAIR, m, false);
         }
     }
 
@@ -1250,11 +1358,34 @@ impl Baseband {
         dev.first_window_start == now && dev.window_armed_at >= self.naive_arm_instant(m, now)
     }
 
-    /// Walks master `m`'s coverage once and fills `m`'s `listeners` with
-    /// the slaves that are active, unconnected and scanning and not
-    /// proven deaf at `now` by a valid cached prediction (one after
-    /// `now`), in ascending order. Returns the earliest valid prediction
-    /// of the other scanning slaves (`MAX` if none).
+    /// Fills `m`'s `listeners` with the covered slaves that are active,
+    /// unconnected and scanning and not proven deaf at `now` by a valid
+    /// cached prediction (one after `now`), in ascending order, and
+    /// settles their backoffs for this reader. Returns the earliest valid
+    /// prediction of the other covered scanning slaves before `m`'s phase
+    /// end (`MAX` if none).
+    ///
+    /// Only due slaves are visited. Every covered eligible slave is either
+    /// in `m`'s unsettled row or holds a valid prediction that sits in
+    /// `m`'s `due` heap or lies at or after the phase end:
+    ///
+    /// * every `version` bump marks the slave unsettled at each master
+    ///   covering it (`bump_slave`), entering coverage marks it at that
+    ///   master, and phase entry marks the whole row (the new epoch
+    ///   invalidates every prediction);
+    /// * only `rearm_inquiry` clears a bit once it has listed the slave,
+    ///   and it pushes the prediction it wrote or reused;
+    /// * this walk clears the bit of a slave that is not eligible (it can
+    ///   only become eligible by a re-arm, which bumps it) or whose valid
+    ///   prediction lies after `now` (pushing that prediction);
+    /// * due entries that are still valid rejoin the unsettled row, so a
+    ///   deferred `InqTx` lists them again.
+    ///
+    /// The listing is therefore the coverage walk's, and the heap's
+    /// first valid covered entry is the walk's future minimum (debug
+    /// builds check both against the walk). Naive mode writes no
+    /// predictions, so every covered slave stays unsettled and is listed
+    /// at every pair.
     ///
     /// Within one `InqTx` handler the list stays exact: only listed
     /// slaves can hear, so only their `version` can move; coverage and
@@ -1262,30 +1393,108 @@ impl Baseband {
     /// `m`'s predictions. The pair's deferral check, both half-slots and
     /// the re-aim therefore all read this one list.
     fn collect_listeners(&mut self, m: usize, now: SimTime) -> SimTime {
+        let Baseband {
+            masters,
+            slaves,
+            in_range,
+            unsettled,
+            reader,
+            ..
+        } = self;
         let MasterDev {
             epoch,
+            phase_end,
             predictions,
+            due,
             listeners,
             ..
-        } = &mut self.masters[m];
+        } = &mut masters[m];
+        while let Some(&Reverse((at, sl))) = due.peek() {
+            if at > now {
+                break;
+            }
+            due.pop();
+            if predictions[sl].valid(*epoch, slaves[sl].version) == Some(at) {
+                unsettled.insert(m, sl);
+            }
+        }
         listeners.clear();
+        let cover = in_range.row(m);
+        for (w, word) in unsettled.row_mut(m).iter_mut().enumerate() {
+            let mut bits = *word & cover.get(w).copied().unwrap_or(0);
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                bits ^= bit;
+                let sl = w * 64 + bit.trailing_zeros() as usize;
+                let dev = &mut slaves[sl];
+                if !dev.eligible() {
+                    *word ^= bit;
+                    continue;
+                }
+                match predictions[sl].valid(*epoch, dev.version) {
+                    Some(at) if at > now => {
+                        if at < *phase_end {
+                            due.push(Reverse((at, sl)));
+                        }
+                        *word ^= bit;
+                    }
+                    _ => {
+                        dev.settle_backoff(now, *reader);
+                        listeners.push(sl);
+                    }
+                }
+            }
+        }
         let mut future = SimTime::MAX;
+        while let Some(&Reverse((at, sl))) = due.peek() {
+            if predictions[sl].valid(*epoch, slaves[sl].version) == Some(at)
+                && in_range.contains(m, sl)
+            {
+                future = at;
+                break;
+            }
+            due.pop();
+        }
+        #[cfg(debug_assertions)]
+        self.check_listeners(m, now, future);
+        future
+    }
+
+    /// The coverage walk the due queue replaces, kept as a debug-build
+    /// reference: panics, naming the transmission, unless `m`'s listeners
+    /// and the future minimum `collect_listeners` found at `now` are the
+    /// walk's.
+    #[cfg(debug_assertions)]
+    fn check_listeners(&self, m: usize, now: SimTime, future: SimTime) {
+        let dev = &self.masters[m];
+        let mut listeners = Vec::new();
+        let mut walk_future = SimTime::MAX;
         for (w, &word) in self.in_range.row(m).iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
                 let sl = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let dev = &self.slaves[sl];
-                if !dev.active || dev.connected_to.is_some() || !dev.scanning {
+                let slave = &self.slaves[sl];
+                if !slave.eligible() {
                     continue;
                 }
-                match predictions[sl].valid(*epoch, dev.version) {
-                    Some(at) if at > now => future = future.min(at),
+                match dev.predictions[sl].valid(dev.epoch, slave.version) {
+                    Some(at) if at > now => walk_future = walk_future.min(at),
                     _ => listeners.push(sl),
                 }
             }
         }
-        future
+        assert_eq!(
+            dev.listeners, listeners,
+            "master {m} epoch {} at {now}: due-queue listeners differ from the coverage walk",
+            dev.epoch
+        );
+        assert_eq!(
+            future.min(dev.phase_end),
+            walk_future.min(dev.phase_end),
+            "master {m} epoch {} at {now}: due-queue future differs from the coverage walk",
+            dev.epoch
+        );
     }
 
     /// Whether the skip-ahead `InqTx` firing at `now` must requeue itself
@@ -1294,16 +1503,17 @@ impl Baseband {
     ///
     /// The naive chain scheduled the `InqTx` for pair `now` while
     /// processing the previous pair (or at phase entry, for the first
-    /// pair), so a `BackoffEnd` landing at the same instant runs *first*
-    /// exactly when it was armed before that — and whichever runs first
-    /// decides whether the slave hears this pair. The skip-ahead event
-    /// was scheduled at an arbitrary earlier re-aim, so when such a tie
-    /// exists it defers once; the requeued copy runs after every event
-    /// already queued at `now`. A requeued copy (`deferred`) skips these
-    /// one-shot checks but still yields to naive-earlier sibling masters
-    /// sharing the instant, so coincident chains fire in naive
-    /// precedence order (see below). Window boundaries need no deferral:
-    /// they are applied lazily under the naive order (see `tie_deaf`).
+    /// pair), so a backoff ending at the same instant has ended for it
+    /// exactly when it was armed before that — which decides whether the
+    /// slave hears this pair. The skip-ahead event was scheduled at an
+    /// arbitrary earlier re-aim, so when such a tie exists it defers
+    /// once; the requeued copy runs after every event already queued at
+    /// `now`, and its fresh stamp ends the backoff for it. A requeued
+    /// copy (`deferred`) skips these one-shot checks but still yields to
+    /// naive-earlier sibling masters sharing the instant, so coincident
+    /// chains fire in naive precedence order (see below). Window
+    /// boundaries need no deferral: they are applied lazily under the
+    /// naive order (see `tie_deaf`).
     fn should_defer(&self, m: usize, now: SimTime, deferred: bool) -> bool {
         if self.masters[m].skip.is_none() {
             return false;
@@ -1378,7 +1588,8 @@ impl Baseband {
     /// `now`. The unlisted slaves' valid predictions all lie after `now`,
     /// so they stand as cached. A listed slave's valid prediction is
     /// reused if it lies at or after `from`; any other is re-solved up to
-    /// the phase boundary and cached.
+    /// the phase boundary and cached. Either way the listed slave leaves
+    /// `m`'s unsettled row and its prediction joins `m`'s due queue.
     ///
     /// Requires `skip` to be `Some` with `from` settled past `now`.
     fn rearm_inquiry<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, m: usize, future: SimTime) {
@@ -1389,10 +1600,7 @@ impl Baseband {
         let armed = chain.event.is_some();
         let aimed_at = chain.aimed_at;
         let epoch = self.masters[m].epoch;
-        let bound = self.masters[m]
-            .plan
-            .next_boundary(s.now())
-            .map_or(SimTime::MAX, |(t, _)| t);
+        let bound = self.masters[m].phase_end;
         let mut target = bound.min(future);
         for i in 0..self.masters[m].listeners.len() {
             let sl = self.masters[m].listeners[i];
@@ -1406,6 +1614,11 @@ impl Baseband {
                     at
                 }
             };
+            // The slave is settled at `m` until its prediction falls due.
+            if at < bound {
+                self.masters[m].due.push(Reverse((at, sl)));
+            }
+            self.unsettled.remove(m, sl);
             target = target.min(at);
         }
         if armed && target >= aimed_at {
@@ -1422,20 +1635,14 @@ impl Baseband {
         if let Some(ev) = chain.event.take() {
             s.cancel(ev);
         }
-        if target < bound {
-            let id = s.schedule(
-                target,
-                BbEvent(Ev::InqTx {
-                    master: m,
-                    epoch,
-                    deferred: false,
-                }),
-            );
-            chain.event = Some(id);
-            chain.aimed_at = target;
+        let (event, aimed_at) = if target < bound {
+            (Some(self.schedule_inq_tx(s, target, m, false)), target)
         } else {
-            chain.aimed_at = SimTime::MAX;
-        }
+            (None, SimTime::MAX)
+        };
+        let chain = self.masters[m].skip.as_mut().expect("chain present");
+        chain.event = event;
+        chain.aimed_at = aimed_at;
     }
 
     /// Re-aims every in-range master other than `tx_master` after slave
@@ -1453,11 +1660,42 @@ impl Baseband {
         if !self.cfg.skip_ahead {
             return;
         }
-        for m in 0..self.masters.len() {
-            if m != tx_master && self.in_range.contains(m, sl) {
-                self.wake_master(s, m);
+        // Ascending master order, as a probe of every master would wake
+        // them. Waking changes no coverage, so each word is read once.
+        for w in 0..self.covering.row(sl).len() {
+            let mut bits = self.covering.row(sl)[w];
+            while bits != 0 {
+                let m = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if m != tx_master {
+                    self.wake_master(s, m);
+                }
             }
         }
+    }
+
+    /// Starts a listening change of slave `sl` its scan schedule did not
+    /// plan: invalidates its predictions and marks it unsettled at every
+    /// master covering it (see `collect_listeners`).
+    fn bump_slave(&mut self, sl: usize) {
+        let dev = &mut self.slaves[sl];
+        dev.version = dev.version.wrapping_add(1);
+        for (w, &word) in self.covering.row(sl).iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                self.unsettled
+                    .insert(w * 64 + bits.trailing_zeros() as usize, sl);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Kills slave `sl`'s window chain: it stops scanning until re-armed.
+    fn stop_scanning(&mut self, sl: usize) {
+        self.bump_slave(sl);
+        let dev = &mut self.slaves[sl];
+        dev.machine.stop();
+        dev.scanning = false;
     }
 
     /// An audibility-increasing transition happened: settle master `m`'s
@@ -1588,38 +1826,34 @@ impl Baseband {
                 continue;
             }
             self.stats.ids_heard += 1;
-            let action = {
-                let dev = &mut self.slaves[sl];
-                dev.bump();
-                dev.machine.hear_id(at, s.rng())
-            };
-            let version = self.slaves[sl].version;
-            match action {
-                ScanAction::StartBackoff(until) => {
+            self.bump_slave(sl);
+            match self.slaves[sl].machine.hear_id(at, s.rng()) {
+                ScanAction::StartBackoff(_) => {
                     self.stats.backoffs += 1;
-                    self.slaves[sl].backoff_armed_at = now;
-                    s.schedule(until, BbEvent(Ev::BackoffEnd { slave: sl, version }));
+                    self.arm_backoff(now, sl);
                     self.wake_other_masters(s, m, sl);
                 }
-                ScanAction::Respond {
-                    at: tx,
-                    backoff_until,
-                } => {
+                ScanAction::Respond { at: tx, .. } => {
                     self.stats.fhs_transmitted += 1;
                     let key = tx.elapsed().div_duration(SimDuration::from_units_0125us(1));
                     if self.fhs_buckets.push((m, key), sl) {
                         s.schedule(tx, BbEvent(Ev::FhsRx { master: m, key }));
                     }
-                    self.slaves[sl].backoff_armed_at = now;
-                    s.schedule(
-                        backoff_until,
-                        BbEvent(Ev::BackoffEnd { slave: sl, version }),
-                    );
+                    self.arm_backoff(now, sl);
                     self.wake_other_masters(s, m, sl);
                 }
                 ScanAction::None => {}
             }
         }
+    }
+
+    /// Records the backoff slave `sl` just entered at `now`: its end is
+    /// applied by the slave's next reader (`SlaveDev::settle_backoff`).
+    fn arm_backoff(&mut self, now: SimTime, sl: usize) {
+        self.stamps += 1;
+        let dev = &mut self.slaves[sl];
+        dev.backoff_armed_at = now;
+        dev.backoff_stamp = self.stamps;
     }
 
     fn on_fhs_rx<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, m: usize, key: u64) {
@@ -1667,7 +1901,7 @@ impl Baseband {
             if self.slaves[sl].halt_when_discovered {
                 // The handheld proceeds to page scan / enrollment and
                 // stops answering inquiries.
-                self.slaves[sl].stop_scanning();
+                self.stop_scanning(sl);
             }
         }
         self.fhs_buckets.recycle(responders);
@@ -1752,6 +1986,7 @@ impl Baseband {
         let reachable = self.in_range.contains(m, sl)
             && self.slaves[sl].active
             && self.slaves[sl].connected_to.is_none();
+        self.slaves[sl].settle_backoff(now, self.reader);
         self.slaves[sl].advance_windows(now);
         if reachable && self.slaves[sl].machine.hears_page(now) {
             // Channel errors apply to the page exchange as a whole.
@@ -1845,9 +2080,8 @@ impl Baseband {
             self.stats.pages_completed += 1;
             self.links
                 .insert((m, sl), Link::new(MasterId(m), SlaveId(sl), now));
-            let dev = &mut self.slaves[sl];
-            dev.connected_to = Some(MasterId(m));
-            dev.stop_scanning();
+            self.slaves[sl].connected_to = Some(MasterId(m));
+            self.stop_scanning(sl);
             self.notifications.push(BbNotification::LinkEstablished {
                 master: MasterId(m),
                 slave: SlaveId(sl),
@@ -1893,37 +2127,19 @@ impl Baseband {
     /// after `now` is the chain's first, and the machine sees every
     /// window from there on as the slave is read.
     fn arm_scan_chain(&mut self, now: SimTime, sl: usize) {
+        self.bump_slave(sl);
         let dev = &mut self.slaves[sl];
         let idx = dev.windows.first_window_at_or_after(now);
-        dev.bump();
         dev.scanning = true;
         dev.next_window_index = idx;
         dev.first_window_start = dev.windows.window_start(idx);
         dev.window_armed_at = now;
     }
 
-    fn on_backoff_end<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, sl: usize, version: u32) {
-        let now = s.now();
-        let dev = &mut self.slaves[sl];
-        if dev.version != version {
-            return;
-        }
-        // Windows that opened during the backoff were ignored; consume
-        // them before the listen begins.
-        dev.advance_windows(now);
-        // Post-backoff listen: the slave awaits the next inquiry message
-        // (spec: it returns to the inquiry scan substate). The listen is
-        // open-ended; the next *regular* window boundary re-asserts the
-        // scheduled kind, so a periodic scanner reverts to its timetable
-        // at most one interval later.
-        dev.machine.end_backoff(now, SimTime::MAX);
-    }
-
     fn restart_slave_scanning<S: SubScheduler<BbEvent>>(&mut self, s: &mut S, sl: usize) {
-        let dev = &mut self.slaves[sl];
-        dev.connected_to = None;
-        dev.stop_scanning();
-        if dev.active && self.started {
+        self.slaves[sl].connected_to = None;
+        self.stop_scanning(sl);
+        if self.slaves[sl].active && self.started {
             // Audibility just increased: re-aim every inquiring master.
             self.arm_scan_chain(s.now(), sl);
             for m in 0..self.masters.len() {
@@ -1995,7 +2211,7 @@ mod tests {
         let n_s = engine.world().bb.num_slaves();
         for m in 0..n_m {
             for s in 0..n_s {
-                engine.world_mut().bb.in_range.insert(m, s);
+                engine.world_mut().bb.set_coverage(m, s, true);
             }
         }
     }
@@ -2027,6 +2243,19 @@ mod tests {
         assert!(!set.contains(2, 5) && set.contains(0, 63));
         set.clear_all();
         assert!(!set.contains(0, 63) && !set.contains(1, 200));
+    }
+
+    #[test]
+    fn pair_set_fills_a_row_exactly() {
+        let mut set = PairSet::default();
+        set.insert(0, 3);
+        set.fill_row(2, 70);
+        assert_eq!(set.row(2), &[!0, (1 << 6) - 1]);
+        assert_eq!(set.row(0), &[1 << 3, 0], "other rows keep their pairs");
+        set.fill_row(2, 64);
+        assert_eq!(set.row(2), &[!0, 0]);
+        set.fill_row(2, 0);
+        assert_eq!(set.row(2), &[0, 0]);
     }
 
     #[test]
@@ -2668,7 +2897,7 @@ mod window_tie_tests {
         dev.windows = WindowSchedule::new(ScanPattern::spec_inquiry(), at_t(), 0);
         dev.freq_rot = walker.plan().first.index();
         dev.active = activate_at.is_none();
-        bb.in_range.insert(m.0, sl.0);
+        bb.set_coverage(m.0, sl.0, true);
         let mut e = Engine::new(TestWorld { bb }, 3);
         e.schedule(SimTime::ZERO, BbEvent::start());
         if let Some(at) = activate_at {
@@ -2703,5 +2932,133 @@ mod window_tie_tests {
         // Re-armed 0.5 ms before `T`: the naive `InqTx` for `T` was
         // already queued and runs first, finding the slave asleep.
         assert_eq!(heard_at_t(Some(at_t() - SimDuration::from_micros(500))), 0);
+    }
+}
+
+#[cfg(test)]
+mod backoff_tie_tests {
+    use super::*;
+    use crate::params::{DutyCycle, ScanPattern, TrainPolicy};
+    use desim::{Context, Engine, World};
+
+    struct TestWorld {
+        bb: Baseband,
+    }
+
+    impl World for TestWorld {
+        type Event = BbEvent;
+        fn handle(&mut self, ctx: &mut Context<BbEvent>, ev: BbEvent) {
+            self.bb.handle(ctx, ev);
+        }
+        fn quiesce(&mut self, ctx: &mut Context<BbEvent>) {
+            self.bb.settle(ctx.now());
+        }
+    }
+
+    /// The frequency the slave listens on: the first ID of every master's
+    /// fourth slot pair (train A, offset 6).
+    const FREQ: u8 = 6;
+
+    /// The pair at which master 0 (slot grid at t = 0) first transmits
+    /// `FREQ`, priming the slave into its backoff.
+    fn at_a() -> SimTime {
+        SimTime::ZERO + SLOT_PAIR * 3
+    }
+
+    /// Skip-ahead masters on train A whose grids start at `phases`
+    /// (in 312.5 µs ticks), and one continuously scanning slave on
+    /// `FREQ` with backoffs of at most `backoff_slots`, covered by the
+    /// masters in `covered` from the start.
+    fn engine(
+        seed: u64,
+        phases: &[u64],
+        covered: &[usize],
+        backoff_slots: u64,
+    ) -> Engine<TestWorld> {
+        let mut bb = Baseband::new(MediumConfig::default());
+        let mut rng = desim::SeedDeriver::new(3).rng(0);
+        for (i, &phase) in phases.iter().enumerate() {
+            let m = bb.add_master(
+                MasterConfig::new(BdAddr::new(1 + i as u64))
+                    .duty(DutyCycle::always_inquiry())
+                    .trains(TrainPolicy::Single)
+                    .start_train(StartTrain::Fixed(Train::A)),
+                &mut rng,
+            );
+            bb.masters[m.0].clock = NativeClock::with_phase_ticks(phase);
+        }
+        let sl = bb.add_slave(
+            SlaveConfig::new(BdAddr::new(0x50))
+                .scan(ScanPattern::continuous_inquiry())
+                .backoff_max_slots(backoff_slots),
+            &mut rng,
+        );
+        bb.slaves[sl.0].freq_rot = FREQ;
+        for &m in covered {
+            bb.set_coverage(m, sl.0, true);
+        }
+        let mut e = Engine::new(TestWorld { bb }, seed);
+        e.schedule(SimTime::ZERO, BbEvent::start());
+        e
+    }
+
+    /// Runs to just after the prime at `A` and checks the backoff it
+    /// armed ends at `t`.
+    fn primed_until(e: &mut Engine<TestWorld>, t: SimTime) {
+        e.run_until(at_a() + TICK / 2);
+        let dev = &e.world().bb.slaves[0];
+        assert_eq!(dev.machine.phase(), ScanPhase::Backoff { until: t });
+        assert_eq!(e.world().bb.stats().ids_heard, 1);
+    }
+
+    /// IDs the slave heard by the end of the pair at `t`.
+    fn heard_through(e: &mut Engine<TestWorld>, t: SimTime) -> u64 {
+        e.run_until(t + SLOT_PAIR / 2);
+        e.world().bb.stats().ids_heard
+    }
+
+    #[test]
+    fn inq_tx_scheduled_after_the_backoff_hears_at_its_end() {
+        // Master 1's grid is one slot later, so its pair at `A + 625 µs`
+        // carries `FREQ` first, just as the one-slot backoff ends. The
+        // slave enters master 1's coverage only after the prime, so the
+        // `InqTx` aimed there is scheduled after the backoff was armed and
+        // finds it over. (The naive chain queued that pair's `InqTx` one
+        // pair earlier, before the prime: the same-instant ordering gap
+        // documented on `department_scale_same_instant_ordering`.)
+        let t = at_a() + SLOT_PAIR / 2;
+        let mut e = engine(1, &[0, 2], &[0], 0);
+        e.schedule(
+            at_a() + TICK / 2,
+            BbEvent::set_in_range(MasterId::new(1), SlaveId::new(0), true),
+        );
+        primed_until(&mut e, t);
+        assert_eq!(heard_through(&mut e, t), 2);
+    }
+
+    #[test]
+    fn inq_tx_scheduled_before_the_backoff_misses_its_end() {
+        // Same grids, but master 1 covers the slave from the start: its
+        // chain was aimed at `A + 625 µs` before the prime armed the
+        // backoff, so it runs first and finds the slave deaf.
+        let t = at_a() + SLOT_PAIR / 2;
+        let mut e = engine(1, &[0, 2], &[0, 1], 0);
+        primed_until(&mut e, t);
+        assert_eq!(heard_through(&mut e, t), 1);
+    }
+
+    #[test]
+    fn own_pair_backoff_ends_before_the_re_aimed_inq_tx() {
+        // One master; a 16-slot backoff ends exactly one train pass
+        // (eight pairs) after the prime, on a pair that carries `FREQ`
+        // again. The master's own handler armed the backoff before it
+        // re-aimed its chain there, so the backoff is over for that pair.
+        let seed = (0..)
+            .find(|&s| desim::SimRng::seed_from(s).range_inclusive(0, 16) == 16)
+            .expect("some seed draws the longest backoff");
+        let t = at_a() + SLOT_PAIR * 8;
+        let mut e = engine(seed, &[0], &[0], 16);
+        primed_until(&mut e, t);
+        assert_eq!(heard_through(&mut e, t), 2);
     }
 }

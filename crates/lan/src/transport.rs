@@ -22,7 +22,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use desim::compose::SubScheduler;
-use desim::{SimDuration, SimTime};
+use desim::{EventId, SimDuration, SimTime};
 
 use crate::network::{Datagram, HostId, Lan, LanEvent};
 
@@ -108,6 +108,8 @@ struct Outstanding {
     seq: u64,
     payload: Vec<u8>,
     attempts: u32,
+    /// The pending retransmission timer of the latest attempt.
+    timer: Option<EventId>,
 }
 
 impl SendFlow {
@@ -244,7 +246,11 @@ impl Reliable {
                 let key = (dgram.dst.index(), dgram.src.index());
                 if let Some(flow) = self.flows.get_mut(&key) {
                     if matches!(&flow.outstanding, Some(o) if o.seq <= seq) {
-                        flow.outstanding = None;
+                        // The timer would find its seq cleared and do
+                        // nothing; cancelling it saves the calendar slot.
+                        if let Some(timer) = flow.outstanding.take().and_then(|o| o.timer) {
+                            s.cancel(timer);
+                        }
                         self.pump(s, lan, &wrap_lan, &wrap_tr, dgram.dst, dgram.src);
                     }
                 }
@@ -271,6 +277,8 @@ impl Reliable {
         if !retransmit {
             return; // already acknowledged
         }
+        // This is the attempt's own timer, so a flow giving up here has
+        // no other timer to cancel.
         let o = flow.outstanding.as_mut().expect("checked above");
         if o.attempts >= self.cfg.max_attempts {
             self.stats.failed += 1;
@@ -327,6 +335,7 @@ impl Reliable {
             seq,
             payload,
             attempts: 0,
+            timer: None,
         });
         self.transmit(s, lan, wrap_lan, wrap_tr, key.0, key.1);
     }
@@ -355,10 +364,10 @@ impl Reliable {
             let mut sub = MapLan { s, wrap: wrap_lan };
             lan.send(&mut sub, HostId::new(src), HostId::new(dst), segment);
         }
-        s.schedule(
+        o.timer = Some(s.schedule(
             s.now() + self.cfg.retransmit_timeout,
             wrap_tr(TransportEvent(Tev::Retransmit { src, dst, seq })),
-        );
+        ));
     }
 }
 
@@ -406,6 +415,8 @@ mod tests {
         got: Vec<AppMessage>,
         /// Cumulative seq carried by every ACK put on the wire.
         acks_seen: Vec<u64>,
+        /// Transport timers that reached `Reliable::handle`.
+        timers_fired: u64,
     }
 
     impl World for Stack {
@@ -425,7 +436,10 @@ mod tests {
                         self.tr.on_datagram(ctx, &mut self.lan, Ev::Lan, Ev::Tr, d);
                     }
                 }
-                Ev::Tr(te) => self.tr.handle(ctx, &mut self.lan, Ev::Lan, Ev::Tr, te),
+                Ev::Tr(te) => {
+                    self.timers_fired += 1;
+                    self.tr.handle(ctx, &mut self.lan, Ev::Lan, Ev::Tr, te);
+                }
                 Ev::Send(a, b, p) => self.tr.send(ctx, &mut self.lan, Ev::Lan, Ev::Tr, a, b, p),
                 Ev::SetLoss(l) => self.lan.set_loss(l),
             }
@@ -461,6 +475,7 @@ mod tests {
             tr: Reliable::new(ReliableConfig::default()),
             got: vec![],
             acks_seen: vec![],
+            timers_fired: 0,
         };
         (Engine::new(world, seed), ids)
     }
@@ -478,6 +493,27 @@ mod tests {
         let got: Vec<u8> = e.world().got.iter().map(|m| m.payload[0]).collect();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
         assert_eq!(e.world().tr.stats().retransmissions, 0);
+    }
+
+    #[test]
+    fn acknowledged_segments_cancel_their_timers() {
+        let (mut e, h) = stack(0.0, 3, 10);
+        for i in 0..10u8 {
+            e.schedule(
+                SimTime::from_micros(i as u64),
+                Ev::Send(h[0], h[1], vec![i]),
+            );
+        }
+        e.schedule(SimTime::ZERO, Ev::Send(h[2], h[1], vec![99]));
+        e.run();
+        assert_eq!(e.world().timers_fired, 0, "a timer outlived its ACK");
+        let st = e.world().tr.stats();
+        assert_eq!(
+            (st.accepted, st.data_segments, st.delivered, st.acks),
+            (11, 11, 11, 11)
+        );
+        assert_eq!(st.retransmissions, 0);
+        assert_eq!(e.world().got.len(), 11);
     }
 
     #[test]
@@ -656,6 +692,7 @@ mod tests {
                 tr: Reliable::new(ReliableConfig::default()),
                 got: vec![],
                 acks_seen: vec![],
+                timers_fired: 0,
             },
             7,
         );
